@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, docs, release build, full test suite, bench
-# compile smoke, examples, spec validation (scenario + ensemble, including
+# CI gate: formatting, lints, docs, release build, full test suite,
+# examples, spec validation (scenario + ensemble, including
 # the sparse-regime and sharded specs), the sparse-vs-dense and sharded
 # equivalence proptests, the ensemble and sharded thread-count determinism
 # diffs, the theory-conformance suite (budgeted, at two thread counts),
@@ -13,7 +13,7 @@
 # Stages (each wall-clock timed; summary table at the end):
 #   fmt          cargo fmt --check
 #   lint         clippy, rbb-lint (self-check + gate + JSON artifact), rustdoc
-#   build        release build, bench compile smoke, examples
+#   build        release build, examples
 #   test         cargo test -q, engine-equivalence proptests, rbb-exp smoke
 #   specs        committed specs run; ensemble + sharded determinism diffs
 #   weighted     weighted regime: specs/weighted-*.json byte-diffed against
@@ -94,9 +94,6 @@ stage_lint() {
 stage_build() {
     echo "==> cargo build --release"
     cargo build --release
-
-    echo "==> cargo bench --no-run (compile smoke)"
-    cargo bench --workspace --no-run -q
 
     echo "==> examples"
     for example in quickstart process_zoo topology_tour adversarial_recovery token_scheduler exact_analysis; do

@@ -1,17 +1,11 @@
 //! # rbb-bench — throughput measurement
 //!
-//! Two entry points:
-//!
-//! * **`rbb-bench` binary** (`src/main.rs`) — the repo's perf gate: warmup +
-//!   repetition + median-throughput measurements of the hot paths (engines,
-//!   Tetris, traversal, graph walks, trial scheduler), emitted as a
-//!   machine-readable `BENCH.json` (see [`BenchReport`]) and consumed by
-//!   `ci.sh` as a compile-and-smoke gate with a minimum engine-speedup
-//!   threshold.
-//! * **criterion bench targets** (`benches/`): `engine` (load vs identity
-//!   engines, scalar vs batched), `tetris`, `samplers` (+ PRNG ablation),
-//!   `graphs`, `traversal` (+ bitset ablation), `baselines`, `strategies`
-//!   (FIFO/LIFO/random ablation). Run with `cargo bench -p rbb-bench`.
+//! The **`rbb-bench` binary** (`src/main.rs`) is the repo's perf gate:
+//! warmup + repetition + median-throughput measurements of the hot paths
+//! (engines, Tetris, traversal, graph walks, trial scheduler, daemon),
+//! emitted as a machine-readable `BENCH.json` (see [`BenchReport`]) and
+//! consumed by `ci.sh` as a smoke gate with minimum speedup thresholds. The
+//! end-to-end benchmark of the built binaries lives in `perfbench/`.
 //!
 //! This library holds the measurement harness and the `BENCH.json` schema so
 //! both stay unit-testable.

@@ -1,7 +1,7 @@
 //! `rbb-bench` — the repo's machine-readable perf gate.
 //!
 //! Runs warmup + repetition + median-throughput measurements of every hot
-//! path (load/ball engines scalar vs batched, Tetris, traversal, graph
+//! path (load engine scalar vs batched, ball engine, Tetris, traversal, graph
 //! walks, the work-stealing trial scheduler) and emits `BENCH.json` (see
 //! [`rbb_bench::BenchReport`] for the schema). `ci.sh` runs it with
 //! `--quick --json target/BENCH.json --min-engine-speedup 1.5` as a smoke
@@ -299,23 +299,6 @@ fn registry(p: &Profile, seed: u64) -> Vec<Bench> {
                 Box::new(move || {
                     for _ in 0..ball_rounds {
                         proc.step();
-                    }
-                })
-            }),
-        ),
-        mk(
-            Spec::new(
-                "ball_engine/batched",
-                "ball_engine",
-                ball_n as u64,
-                ball_rounds,
-                "rounds",
-            ),
-            Box::new(move || {
-                let mut proc = ball_fixture(seed);
-                Box::new(move || {
-                    for _ in 0..ball_rounds {
-                        proc.step_batched();
                     }
                 })
             }),

@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use crate::config::Config;
 use crate::engine::Engine;
 use crate::rng::Xoshiro256pp;
-use crate::sampling::UniformSampler;
 use crate::strategy::QueueStrategy;
 
 /// Identifier of a ball: dense indices `0..m`.
@@ -44,11 +43,6 @@ pub struct BallProcess {
     stats: Vec<BallStats>,
     /// Scratch buffer reused across rounds: (ball, destination).
     movers: Vec<(BallId, u32)>,
-    /// Destination scratch for the batched hot path (empty until first use).
-    batch_dests: Vec<u32>,
-    /// Uniform sampler keyed on `n`, cached so the batched path does not
-    /// rebuild the Lemire rejection threshold (a `u64` modulo) every round.
-    sampler: UniformSampler,
 }
 
 impl BallProcess {
@@ -74,7 +68,6 @@ impl BallProcess {
             }
             queues.push(dq);
         }
-        let sampler = UniformSampler::new(config.n() as u64);
         Self {
             queues,
             config,
@@ -84,8 +77,6 @@ impl BallProcess {
             arrival_round: vec![0; m as usize],
             stats: vec![BallStats::default(); m as usize],
             movers: Vec::new(),
-            batch_dests: Vec::new(),
-            sampler,
         }
     }
 
@@ -205,94 +196,6 @@ impl BallProcess {
         self.step_with(|_, _, _| {})
     }
 
-    /// Advances one round through the batched hot path. For [`Fifo`] and
-    /// [`Lifo`] the queue pick consumes no randomness, so all of a round's
-    /// destination draws form one contiguous batch: they are filled through
-    /// a [`UniformSampler`] into a reused scratch buffer in the same bin
-    /// order the scalar path draws them, making the two paths bit-identical
-    /// from equal state.
-    ///
-    /// # Why `Random` cannot be batched
-    ///
-    /// Under [`Random`] the scalar path consumes the RNG stream as
-    /// `pick(len₀), dest₀, pick(len₁), dest₁, …` — one queue-index draw
-    /// (whose bound is the *current* queue length, itself a function of all
-    /// earlier rounds) interleaved with each destination draw. A batched
-    /// kernel would have to draw all destinations as one contiguous block,
-    /// which permutes that stream: every draw after the first bin would see
-    /// different raw words, so the trajectory would diverge from the scalar
-    /// path and from the published experiment numbers. Since the workspace
-    /// guarantees `step_batched ≡ step` bit-for-bit for every engine (the
-    /// [`Engine`] run family is batched by default), `Random` transparently
-    /// falls back to the scalar [`step_with`]; the equivalence test
-    /// `batched_step_random_falls_back_to_scalar` pins the contract down.
-    ///
-    /// [`Fifo`]: QueueStrategy::Fifo
-    /// [`Lifo`]: QueueStrategy::Lifo
-    /// [`Random`]: QueueStrategy::Random
-    /// [`step_with`]: BallProcess::step_with
-    pub fn step_batched_with(&mut self, mut on_move: impl FnMut(BallId, usize, u64)) -> usize {
-        if self.strategy == QueueStrategy::Random {
-            return self.step_with(on_move);
-        }
-        let n = self.queues.len();
-        let round = self.round + 1;
-        self.movers.clear();
-
-        // Selection phase: every non-empty bin releases exactly one ball.
-        // No RNG is consumed here under FIFO/LIFO.
-        for u in 0..n {
-            if self.queues[u].is_empty() {
-                continue;
-            }
-            let ball = match self.strategy {
-                // rbb-lint: allow(panic, reason = "only non-empty bins enter the release loop")
-                QueueStrategy::Fifo => self.queues[u].pop_front().expect("non-empty"),
-                // rbb-lint: allow(panic, reason = "only non-empty bins enter the release loop")
-                QueueStrategy::Lifo => self.queues[u].pop_back().expect("non-empty"),
-                // rbb-lint: allow(panic, reason = "step_batched delegates Random strategies to the scalar path before this match")
-                QueueStrategy::Random => unreachable!("handled by scalar fallback"),
-            };
-            self.movers.push((ball, 0));
-        }
-        let moved = self.movers.len();
-
-        // One contiguous batch of destination draws, in mover (= bin) order.
-        self.batch_dests.resize(moved, 0);
-        self.sampler.fill_u32(&mut self.rng, &mut self.batch_dests);
-        for i in 0..moved {
-            let (ball, dest_slot) = &mut self.movers[i];
-            *dest_slot = self.batch_dests[i];
-            let wait = round - 1 - self.arrival_round[*ball as usize];
-            let st = &mut self.stats[*ball as usize];
-            st.moves += 1;
-            st.total_wait += wait;
-            st.max_wait = st.max_wait.max(wait);
-        }
-
-        // Re-assignment phase: all arrivals land simultaneously.
-        let loads = self.config.loads_mut();
-        for (u, q) in self.queues.iter().enumerate() {
-            // rbb-lint: allow(lossy-cast, reason = "queue length <= total balls <= u32::MAX, asserted at construction")
-            loads[u] = q.len() as u32;
-        }
-        for i in 0..moved {
-            let (ball, dest) = self.movers[i];
-            self.queues[dest as usize].push_back(ball);
-            loads[dest as usize] += 1;
-            self.arrival_round[ball as usize] = round;
-            on_move(ball, dest as usize, round);
-        }
-
-        self.round = round;
-        moved
-    }
-
-    /// Advances one round through the batched hot path, without a hook.
-    pub fn step_batched(&mut self) -> usize {
-        self.step_batched_with(|_, _, _| {})
-    }
-
     /// Minimum walk progress over all balls (the quantity bounded below by
     /// `Ω(t / log n)` under FIFO).
     pub fn min_progress(&self) -> u64 {
@@ -360,18 +263,12 @@ impl BallProcess {
     }
 }
 
-/// The run family is provided by [`Engine`]; FIFO/LIFO get the batched
-/// kernel, `Random` falls back to the bit-identical scalar path (see
-/// [`BallProcess::step_batched_with`]).
+/// The run family is provided by [`Engine`]; the one round body is
+/// [`BallProcess::step`] (`step_batched` is the trait default).
 impl Engine for BallProcess {
     #[inline]
     fn step(&mut self) -> usize {
         BallProcess::step(self)
-    }
-
-    #[inline]
-    fn step_batched(&mut self) -> usize {
-        BallProcess::step_batched(self)
     }
 
     #[inline]
@@ -566,8 +463,8 @@ mod tests {
     #[test]
     fn batched_step_random_falls_back_to_scalar() {
         // The Random strategy interleaves queue-index draws with destination
-        // draws (see `step_batched_with`), so its "batched" path must be the
-        // scalar path verbatim: bit-identical loads, RNG stream, and
+        // draws, so its "batched" path must be the scalar path verbatim:
+        // bit-identical loads, RNG stream, and
         // per-ball accounting — including from a skewed start where queue
         // lengths (and hence pick bounds) vary wildly.
         let mut rng = Xoshiro256pp::seed_from(78);
@@ -597,18 +494,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn batched_hook_fires_per_mover() {
-        let mut p = BallProcess::legitimate_start(16, 79);
-        let mut count = 0;
-        let moved = p.step_batched_with(|_, dest, round| {
-            assert!(dest < 16);
-            assert_eq!(round, 1);
-            count += 1;
-        });
-        assert_eq!(count, moved);
     }
 
     #[test]

@@ -12,24 +12,57 @@
 //!
 //! # Scalar vs batched
 //!
-//! [`Engine::step`] is the scalar reference path; [`Engine::step_batched`]
-//! is the throughput path and **defaults to `step`** for engines without a
-//! dedicated batched kernel. Engines that do override it (the load and ball
-//! engines) guarantee the two paths are **bit-identical** from equal state —
-//! same trajectory, same RNG consumption — which their unit tests pin down.
-//! The provided run family therefore drives `step_batched` unconditionally:
-//! callers get the fastest available kernel without choosing between
-//! drifting method variants.
+//! [`Engine::step_batched`] is the production round and **defaults to
+//! [`Engine::step`]**, so most engines have one round body. The sparse and
+//! sharded engines, and every weighted load engine, forward `step` to
+//! `step_batched`. Only the unit dense engine keeps two: its scalar
+//! [`LoadProcess::step`] is the reference its batched kernel is pinned
+//! bit-identical against — same trajectory, same RNG consumption (its unit
+//! tests and rbb-bench's `engine/scalar` gate compare the two). The
+//! provided run family drives `step_batched` unconditionally.
+//!
+//! # Weights and capacities
+//!
+//! The weighted accessors ([`Engine::weighted`],
+//! [`Engine::weighted_max_load`], [`Engine::capacity_violations`], …) are
+//! implemented once, here, over the single [`Engine::weight_layer`]
+//! accessor; engines without a [`WeightLayer`] read the unit layer, where
+//! every weighted quantity degenerates to its unit counterpart.
+//!
+//! # Incremental allocation
+//!
+//! Placing and removing single balls between rounds is a capability, not a
+//! trait obligation: [`Engine::incremental`] returns the engine's
+//! [`Incremental`] surface, or `None` for engines whose state cannot take a
+//! single new ball (ball identities, Tetris non-conservation).
 //!
 //! [`LoadProcess`]: crate::process::LoadProcess
 //! [`BallProcess`]: crate::ball_process::BallProcess
 //! [`Tetris`]: crate::tetris::Tetris
 //! [`BatchedTetris`]: crate::tetris::BatchedTetris
+//! [`LoadProcess::step`]: crate::process::LoadProcess::step
 
 use crate::config::Config;
 use crate::metrics::RoundObserver;
 use crate::snapshot::SnapshotState;
-use crate::weights::Capacities;
+use crate::weights::{Capacities, WeightLayer, WeightOverlay, UNIT_LAYER};
+
+/// Between-round allocation on an engine whose state is a plain load
+/// vector (the dense, sparse and sharded load engines), reached through
+/// [`Engine::incremental`].
+pub trait Incremental {
+    /// Places one **new** ball of weight `weight` into a bin chosen
+    /// uniformly at random from the engine's own RNG stream (the sharded
+    /// engine draws from shard 0's stream) and returns the bin. The weight
+    /// never changes the draw. Panics if the ball count would overflow the
+    /// `u32` load bound, if `weight` is 0, or if `weight > 1` on an engine
+    /// without a weight overlay.
+    fn place(&mut self, weight: u32) -> usize;
+
+    /// Removes one ball (the front of the bin's FIFO weight queue) from
+    /// `bin`; returns `false` (a no-op) if the bin is empty or out of range.
+    fn depart(&mut self, bin: usize) -> bool;
+}
 
 /// A round-synchronous simulation engine over a load configuration.
 ///
@@ -47,13 +80,13 @@ use crate::weights::Capacities;
 /// assert!(tracker.window_max() >= 1);
 /// ```
 pub trait Engine {
-    /// Advances one round through the scalar reference path; returns the
-    /// number of balls that moved this round.
+    /// Advances one round; returns the number of balls that moved this
+    /// round. Bit-identical to [`step_batched`](Engine::step_batched) from
+    /// equal state (see the module docs).
     fn step(&mut self) -> usize;
 
-    /// Advances one round through the batched hot path. Engines with a
-    /// dedicated batched kernel guarantee bit-identical trajectories to
-    /// [`step`](Engine::step) from equal state; the default is `step`.
+    /// Advances one round through the production kernel; the default is
+    /// [`step`](Engine::step).
     fn step_batched(&mut self) -> usize {
         self.step()
     }
@@ -139,94 +172,84 @@ pub trait Engine {
         panic!("this engine does not support adversarial reassignment");
     }
 
-    /// Whether the incremental allocation surface
-    /// ([`place`](Engine::place) / [`depart`](Engine::depart)) is supported.
-    /// Only the load engines (dense, sparse, sharded) implement it; engines
-    /// whose state is not a plain load vector (ball identities, Tetris
-    /// non-conservation) report `false` and `rbb-serve` rejects allocation
-    /// requests against them.
-    fn supports_incremental(&self) -> bool {
-        false
+    /// The incremental allocation surface, for engines that support it
+    /// (the load engines); `None` otherwise, and `rbb-serve` rejects
+    /// allocation requests against such engines.
+    fn incremental(&mut self) -> Option<&mut dyn Incremental> {
+        None
     }
 
-    /// Places one **new** ball into a bin chosen uniformly at random from
-    /// the engine's own RNG stream (the sharded engine draws from shard 0's
-    /// stream), between rounds; returns the chosen bin and grows the ball
-    /// count by one. Panics if unsupported
-    /// ([`supports_incremental`](Engine::supports_incremental) is the guard)
-    /// or if the ball count would overflow the `u32` load bound.
-    fn place(&mut self) -> usize {
-        // rbb-lint: allow(panic, reason = "guarded by supports_incremental(); rbb-serve rejects allocation requests for engines without support")
-        panic!("this engine does not support incremental placement");
+    /// The engine's weight/capacity layer. The default is the unit,
+    /// unbounded layer; only the load engines carry their own.
+    fn weight_layer(&self) -> &WeightLayer {
+        &UNIT_LAYER
     }
 
-    /// Removes one ball from `bin`, between rounds; returns `false` (a
-    /// no-op) if the bin is empty or out of range. Panics if unsupported
-    /// ([`supports_incremental`](Engine::supports_incremental) is the
-    /// guard).
-    fn depart(&mut self, bin: usize) -> bool {
-        let _ = bin;
-        // rbb-lint: allow(panic, reason = "guarded by supports_incremental(); rbb-serve rejects allocation requests for engines without support")
-        panic!("this engine does not support incremental departure");
-    }
-
-    /// Whether the engine carries non-unit ball weights. `false` for every
-    /// engine outside the weighted configurations of the load engines; when
-    /// `false`, all the `weighted_*` accessors below degenerate to their
-    /// unit counterparts.
+    /// Whether the engine carries non-unit ball weights; when `false`, all
+    /// the `weighted_*` accessors below degenerate to their unit
+    /// counterparts.
     fn weighted(&self) -> bool {
-        false
+        self.weight_layer().overlay().is_some()
     }
 
     /// Total weight in the system. Equals [`balls`](Engine::balls) for unit
     /// engines.
     fn total_weight(&self) -> u64 {
-        self.balls()
+        self.weight_layer()
+            .overlay()
+            .map_or_else(|| self.balls(), WeightOverlay::total)
     }
 
     /// Maximum **weighted** load over all bins. Equals
     /// [`max_load`](Engine::max_load) for unit engines.
     fn weighted_max_load(&self) -> u64 {
-        u64::from(self.max_load())
+        self.weight_layer().overlay().map_or_else(
+            || u64::from(self.max_load()),
+            WeightOverlay::weighted_max_load,
+        )
     }
 
-    /// Weighted load of one bin. Equals [`bin_load`](Engine::bin_load) for
-    /// unit engines.
+    /// Weighted load of one bin; 0 for `bin ≥ n`. Equals
+    /// [`bin_load`](Engine::bin_load) for unit engines.
     fn weighted_bin_load(&self, bin: usize) -> u64 {
-        u64::from(self.bin_load(bin))
+        if bin >= self.n() {
+            return 0;
+        }
+        match self.weight_layer().overlay() {
+            // rbb-lint: allow(lossy-cast, reason = "bin < n, and every engine bounds n by the u32 bin-index range")
+            Some(o) => o.weighted_load(bin as u32),
+            None => u64::from(self.bin_load(bin)),
+        }
     }
 
     /// The per-bin capacity bounds the engine observes —
     /// [`Capacities::Unbounded`] unless configured otherwise (only the load
     /// engines accept capacities).
     fn capacities(&self) -> &Capacities {
-        &Capacities::Unbounded
+        self.weight_layer().capacities()
     }
 
     /// Number of bins whose weighted load currently exceeds their capacity.
-    /// 0 under [`Capacities::Unbounded`]; the default otherwise scans all
-    /// `n` bins, and the sparse engine overrides it with an `O(#occupied)`
-    /// scan (empty bins never violate — capacities are ≥ 1).
+    /// 0 under [`Capacities::Unbounded`]. Empty bins never violate
+    /// (capacities are ≥ 1), so the count is `O(#occupied)` through the
+    /// overlay or [`nonempty_bins_list`](Engine::nonempty_bins_list) (the
+    /// sparse engine), and an `O(n)` scan otherwise.
     fn capacity_violations(&self) -> u64 {
         let caps = self.capacities();
         if caps.is_unbounded() {
             return 0;
         }
-        (0..self.n())
-            .filter(|&b| caps.bound(b).is_some_and(|c| self.weighted_bin_load(b) > c))
-            .count() as u64
-    }
-
-    /// Places one **new** ball of weight `weight`, the weighted counterpart
-    /// of [`place`](Engine::place) — same RNG draw, same returned bin. The
-    /// default accepts only weight 1 (unit engines have nowhere to record a
-    /// heavier ball); weighted load engines override it.
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert_eq!(
-            weight, 1,
-            "this engine is not weighted: only weight-1 placements are supported"
-        );
-        self.place()
+        if let Some(o) = self.weight_layer().overlay() {
+            return o.capacity_violations(caps);
+        }
+        let over = |b: usize| {
+            caps.bound(b)
+                .is_some_and(|c| u64::from(self.bin_load(b)) > c)
+        };
+        match self.nonempty_bins_list() {
+            Some(bins) => bins.into_iter().filter(|&b| over(b as usize)).count() as u64,
+            None => (0..self.n()).filter(|&b| over(b)).count() as u64,
+        }
     }
 
     /// The engine's bit-exact resumable state (loads + RNG stream states +
@@ -370,16 +393,12 @@ mod tests {
     #[test]
     fn incremental_and_snapshot_defaults_are_gated() {
         let mut t = Tetris::new(Config::one_per_bin(8), Xoshiro256pp::seed_from(5));
-        assert!(!Engine::supports_incremental(&t));
+        assert!(Engine::incremental(&mut t).is_none());
         assert!(Engine::snapshot(&t).is_none());
-        let place = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.place();
-        }));
-        assert!(place.is_err(), "default place must panic");
-        let depart = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.depart(0);
-        }));
-        assert!(depart.is_err(), "default depart must panic");
+        assert!(!Engine::weighted(&t));
+        assert!(Engine::capacities(&t).is_unbounded());
+        let mut p = LoadProcess::legitimate_start(8, 5);
+        assert!(Engine::incremental(&mut p).is_some());
     }
 
     #[test]
@@ -407,12 +426,57 @@ mod tests {
         );
         assert!(Engine::capacities(&p).is_unbounded());
         assert_eq!(Engine::capacity_violations(&p), 0);
-        let b = Engine::place_weighted(&mut p, 1);
+        let b = Incremental::place(&mut p, 1);
         assert!(b < 16);
         let heavy = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Engine::place_weighted(&mut p, 2);
+            Incremental::place(&mut p, 2);
         }));
         assert!(heavy.is_err(), "unit engines must reject weight > 1");
+    }
+
+    /// `weighted_bin_load(bin)` is 0 for every `bin ≥ n` — in particular
+    /// for `2^32 + b`, which a `bin as u32` cast would alias to bin `b`.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn weighted_bin_load_is_zero_past_n_on_every_load_engine() {
+        use crate::sharded::ShardedLoadProcess;
+        use crate::sparse::SparseLoadProcess;
+        use crate::weights::Weights;
+        let n = 8;
+        let weighted = || Weights::Explicit((1..=8).collect());
+        let engines: Vec<Box<dyn Engine>> = vec![
+            Box::new(LoadProcess::legitimate_start(n, 3)),
+            Box::new(SparseLoadProcess::legitimate_start(n, 3)),
+            Box::new(ShardedLoadProcess::legitimate_start(n, 3, 2)),
+            Box::new(LoadProcess::with_weights(
+                Config::one_per_bin(n),
+                Xoshiro256pp::seed_from(3),
+                weighted(),
+                Capacities::Unbounded,
+            )),
+            Box::new(SparseLoadProcess::with_weights(
+                n,
+                (0..8).map(|b| (b, 1)),
+                Xoshiro256pp::seed_from(3),
+                weighted(),
+                Capacities::Unbounded,
+            )),
+            Box::new(ShardedLoadProcess::with_weights(
+                Config::one_per_bin(n),
+                3,
+                2,
+                weighted(),
+                Capacities::Unbounded,
+            )),
+        ];
+        for e in engines {
+            assert!(e.weighted_bin_load(3) >= 1);
+            for bin in [n, (1usize << 32) + 3, usize::MAX] {
+                assert_eq!(e.weighted_bin_load(bin), 0, "bin {bin}");
+            }
+        }
+        let sparse = SparseLoadProcess::legitimate_start(n, 3);
+        assert_eq!(Engine::bin_load(&sparse, (1usize << 32) + 3), 0);
     }
 
     #[test]

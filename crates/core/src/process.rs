@@ -16,16 +16,13 @@
 
 use crate::adversary::placement_to_config;
 use crate::config::Config;
-use crate::engine::Engine;
+use crate::engine::{Engine, Incremental};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::{
     throw_uniform, throw_uniform_batched, throw_uniform_recording, UniformSampler,
 };
-use crate::snapshot::{
-    SnapshotError, SnapshotState, WeightedSection, ENGINE_DENSE, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_WEIGHTED,
-};
-use crate::weights::{Capacities, WeightOverlay, Weights};
+use crate::snapshot::{SnapshotError, SnapshotState, ENGINE_DENSE};
+use crate::weights::{Capacities, WeightLayer, Weights};
 
 /// Load-only repeated balls-into-bins simulator.
 ///
@@ -51,14 +48,21 @@ pub struct LoadProcess {
     /// process's lifetime), so the batched path does not re-pay the
     /// `2^64 mod n` rejection-threshold division every round.
     sampler: UniformSampler,
-    /// Weight overlay — `None` in the unit configuration, where every step
-    /// path takes its original branch untouched (the weighted code is never
-    /// on the unit path).
-    weighted: Option<WeightOverlay>,
-    /// Observed capacity bounds ([`Capacities::Unbounded`] by default).
-    capacities: Capacities,
-    /// Scalar-path destination scratch for weighted rounds.
-    dests_scalar: Vec<usize>,
+    /// Weight overlay and observed capacities — the unit layer unless built
+    /// through [`Self::with_weights`] or restored from a weighted snapshot.
+    weights: WeightLayer,
+}
+
+/// The occupied bins of a dense load vector as `(bin, load)` pairs, in
+/// ascending bin order — the canonical order of snapshots, weight
+/// assignment and the weighted transport.
+pub(crate) fn occupied(loads: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    loads
+        .iter()
+        .enumerate()
+        .filter(|&(_, &l)| l > 0)
+        // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
+        .map(|(b, &l)| (b as u32, l))
 }
 
 impl LoadProcess {
@@ -79,9 +83,7 @@ impl LoadProcess {
             balls,
             dests: Vec::new(),
             sampler,
-            weighted: None,
-            capacities: Capacities::Unbounded,
-            dests_scalar: Vec::new(),
+            weights: WeightLayer::default(),
         }
     }
 
@@ -101,28 +103,8 @@ impl LoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let weights = weights.normalized();
-        if let Err(e) = weights.validate(config.total_balls()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid weights: {e}");
-        }
-        if let Err(e) = capacities.validate(config.n()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid capacities: {e}");
-        }
         let mut p = Self::new(config, rng);
-        if let Weights::Explicit(ws) = &weights {
-            let entries = p
-                .config
-                .loads()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &l)| l > 0)
-                // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                .map(|(b, &l)| (b as u32, l));
-            p.weighted = Some(WeightOverlay::from_entries(entries, ws));
-        }
-        p.capacities = capacities;
+        p.weights = WeightLayer::new(weights, capacities, p.n(), occupied(p.config.loads()));
         p
     }
 
@@ -144,8 +126,8 @@ impl LoadProcess {
         self.config.n()
     }
 
-    /// Total ball count (rounds conserve it; the incremental
-    /// [`Engine::place`]/[`Engine::depart`] surface changes it).
+    /// Total ball count (rounds conserve it; the [`Incremental`]
+    /// place/depart surface changes it).
     #[inline]
     pub fn balls(&self) -> u64 {
         self.balls
@@ -157,11 +139,13 @@ impl LoadProcess {
         &self.config
     }
 
-    /// Advances one round; returns the number of balls that moved (equal to
-    /// the number of non-empty bins at the start of the round).
+    /// Advances one round through the scalar reference path; returns the
+    /// number of balls that moved (equal to the number of non-empty bins at
+    /// the start of the round). A weighted process forwards to
+    /// [`step_batched`](Self::step_batched), its only round body.
     pub fn step(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(false);
+        if self.weights.overlay().is_some() {
+            return self.step_batched();
         }
         let loads = self.config.loads_mut();
         let mut departures = 0usize;
@@ -184,12 +168,16 @@ impl LoadProcess {
     /// buffer, but the RNG stream is consumed in exactly the same order, so
     /// the two paths produce the same trajectory from the same seed.
     ///
+    /// A weighted round is this round bracketed by the [`WeightLayer`]
+    /// hooks: the departing bins are listed in bin order before the scan,
+    /// and the `k`-th of them is paired with the `k`-th draw after it.
+    ///
     /// [`step`]: LoadProcess::step
     pub fn step_batched(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(true);
-        }
         let loads = self.config.loads_mut();
+        if let Some(srcs) = self.weights.sources() {
+            srcs.extend(occupied(loads).map(|(b, _)| b));
+        }
         let mut departures = 0usize;
         for l in loads.iter_mut() {
             // Branchless: at ~63% occupancy in equilibrium the `l > 0`
@@ -207,59 +195,10 @@ impl LoadProcess {
             departures,
             &mut self.dests,
         );
+        self.weights.transport(self.dests.iter().copied());
         self.round += 1;
         debug_assert_eq!(self.config.total_balls(), self.balls);
-        departures
-    }
-
-    /// The weighted round: identical departure scan and destination draws
-    /// as the unit paths (same RNG stream, draw for draw), plus the metric
-    /// transport pairing the `k`-th departing bin with the `k`-th draw.
-    fn step_weighted(&mut self, batched: bool) -> usize {
-        let Self {
-            config,
-            rng,
-            dests,
-            sampler,
-            weighted,
-            dests_scalar,
-            ..
-        } = self;
-        // rbb-lint: allow(panic, reason = "only reached behind a weighted.is_some() guard in step/step_batched")
-        let overlay = weighted.as_mut().expect("weighted step needs an overlay");
-        let loads = config.loads_mut();
-        let mut departures = 0usize;
-        overlay.srcs.clear();
-        for (b, l) in loads.iter_mut().enumerate() {
-            if *l > 0 {
-                *l -= 1;
-                departures += 1;
-                // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                overlay.srcs.push(b as u32);
-            }
-        }
-        if batched {
-            throw_uniform_batched(sampler, rng, loads, departures, dests);
-        } else {
-            throw_uniform_recording(rng, loads, departures, dests_scalar);
-            dests.clear();
-            // rbb-lint: allow(lossy-cast, reason = "destinations are bin indices < n, which fits u32")
-            dests.extend(dests_scalar.iter().map(|&d| d as u32));
-        }
-        overlay.transport(dests);
-        self.round += 1;
-        debug_assert_eq!(self.config.total_balls(), self.balls);
-        debug_assert!(self.weighted.as_ref().is_some_and(|o| o
-            .check_against(
-                self.config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "bin index < n, and n fits u32 by the Config invariant")
-                    .map(|(b, &l)| (b as u32, l)),
-            )
-            .is_ok()));
+        debug_assert!(self.weights.check(occupied(self.config.loads())).is_ok());
         departures
     }
 
@@ -268,7 +207,7 @@ impl LoadProcess {
     /// Lemma-3 coupling, which reuses these choices for the Tetris copy.
     pub fn step_recording(&mut self, dests: &mut Vec<usize>) -> usize {
         assert!(
-            self.weighted.is_none(),
+            self.weights.overlay().is_none(),
             "step_recording is a unit-path primitive (the Lemma-3 coupling); \
              weighted rounds go through step/step_batched"
         );
@@ -306,28 +245,15 @@ impl LoadProcess {
     /// round and ball counters. Restoring through [`Self::from_snapshot`]
     /// resumes the trajectory bit-identically.
     pub fn snapshot_state(&self) -> SnapshotState {
-        let entries = self
-            .config
-            .loads()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l > 0)
-            // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, and the constructors assert n fits the u32 index range")
-            .map(|(b, &l)| (b as u32, l))
-            .collect();
-        let weighted = weighted_section(self.weighted.as_ref(), &self.capacities);
+        let (version, weighted) = self.weights.section();
         SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
-            },
+            version,
             engine: ENGINE_DENSE.to_string(),
             n: self.config.n(),
             shards: 1,
             round: self.round,
             balls: self.balls,
-            entries,
+            entries: occupied(self.config.loads()).collect(),
             rng_states: vec![self.rng.state()],
             weighted,
         }
@@ -336,43 +262,14 @@ impl LoadProcess {
     /// Rebuilds a dense process from a snapshot (validated first); the
     /// restored process resumes the snapshotted trajectory bit-identically.
     pub fn from_snapshot(state: &SnapshotState) -> Result<Self, SnapshotError> {
-        state.validate()?;
-        if state.engine != ENGINE_DENSE {
-            return Err(SnapshotError(format!(
-                "expected a {ENGINE_DENSE} snapshot, got '{}'",
-                state.engine
-            )));
-        }
+        state.expect_engine(ENGINE_DENSE)?;
         // rbb-lint: allow(rng-construct, reason = "restoring a serialized stream state captured from a live engine snapshot, not seeding a new stream")
         let rng = Xoshiro256pp::from_state(state.rng_states[0]);
         let mut p = Self::new(Config::from_loads(state.dense_loads()), rng);
         p.round = state.round;
-        if let Some(w) = &state.weighted {
-            p.capacities = w.capacities()?;
-            if !w.queues.is_empty() {
-                p.weighted = Some(WeightOverlay::from_queues(&w.queues));
-            }
-        }
+        p.weights = WeightLayer::from_section(state.weighted.as_ref())?;
         Ok(p)
     }
-}
-
-/// The snapshot encoding shared by the three load engines: a weighted
-/// section is emitted iff there is anything non-unit to record — an overlay
-/// or non-default capacities (an overlay-less section carries capacities
-/// only; validation rejects the vacuous unbounded-and-empty combination).
-pub(crate) fn weighted_section(
-    overlay: Option<&WeightOverlay>,
-    capacities: &Capacities,
-) -> Option<WeightedSection> {
-    if overlay.is_none() && capacities.is_unbounded() {
-        return None;
-    }
-    Some(WeightedSection {
-        queues: overlay.map_or_else(Vec::new, WeightOverlay::queues_sorted),
-        cap_kind: capacities.kind_str().to_string(),
-        caps: capacities.bounds_vec(),
-    })
 }
 
 /// The run family (`run`, `run_silent`, `run_until`) is provided by
@@ -416,36 +313,29 @@ impl Engine for LoadProcess {
         self.adversarial_reassign(placement_to_config(self.n(), placement));
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
+    fn incremental(&mut self) -> Option<&mut dyn Incremental> {
+        Some(self)
     }
 
-    /// Incremental arrival: one uniform destination draw from the engine
-    /// stream, exactly the per-ball primitive a round uses.
-    fn place(&mut self) -> usize {
-        self.place_weighted(1)
+    fn weight_layer(&self) -> &WeightLayer {
+        &self.weights
     }
 
-    /// Same RNG draw as [`place`](Engine::place) — the weight only feeds
-    /// the overlay. A unit process accepts weight 1 only (it has no overlay
-    /// to record a heavier ball in).
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert!(
-            self.balls < u32::MAX as u64,
-            "place would overflow the u32 load bound"
-        );
-        assert!(
-            weight == 1 || self.weighted.is_some(),
-            "this process is unit-weight: only weight-1 placements are supported"
-        );
-        assert!(weight >= 1, "placed weight must be at least 1");
-        let b = self.rng.uniform_usize(self.config.n());
+    fn snapshot(&self) -> Option<SnapshotState> {
+        Some(self.snapshot_state())
+    }
+}
+
+impl Incremental for LoadProcess {
+    /// One uniform destination draw from the engine stream, exactly the
+    /// per-ball primitive a round uses.
+    fn place(&mut self, weight: u32) -> usize {
+        let (n, rng) = (self.config.n(), &mut self.rng);
+        // rbb-lint: allow(lossy-cast, reason = "draws are bin indices < n, which fits u32")
+        let draw = || rng.uniform_usize(n) as u32;
+        let b = self.weights.place(self.balls, weight, draw) as usize;
         self.config.loads_mut()[b] += 1;
         self.balls += 1;
-        if let Some(o) = &mut self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "destination is a bin index < n, which fits u32")
-            o.place(b as u32, weight);
-        }
         b
     }
 
@@ -454,66 +344,12 @@ impl Engine for LoadProcess {
             Some(slot) if *slot > 0 => {
                 *slot -= 1;
                 self.balls -= 1;
-                if let Some(o) = &mut self.weighted {
-                    // rbb-lint: allow(lossy-cast, reason = "in-range bin index < n, which fits u32")
-                    o.depart(bin as u32);
-                }
+                // rbb-lint: allow(lossy-cast, reason = "in-range bin index < n, which fits u32")
+                self.weights.depart(bin as u32);
                 true
             }
             _ => false,
         }
-    }
-
-    fn weighted(&self) -> bool {
-        self.weighted.is_some()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.weighted
-            .as_ref()
-            .map_or(self.balls, WeightOverlay::total)
-    }
-
-    fn weighted_max_load(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.weighted_max_load(),
-            None => u64::from(self.config.max_load()),
-        }
-    }
-
-    fn weighted_bin_load(&self, bin: usize) -> u64 {
-        match &self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "out-of-range bins read as empty, matching the dense path's 0 load")
-            Some(o) => o.weighted_load(bin as u32),
-            None => u64::from(self.config.loads().get(bin).copied().unwrap_or(0)),
-        }
-    }
-
-    fn capacities(&self) -> &Capacities {
-        &self.capacities
-    }
-
-    /// `O(#occupied)` through the overlay; the capacity-only unit case
-    /// falls back to the dense `O(n)` scan.
-    fn capacity_violations(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.capacity_violations(&self.capacities),
-            None => {
-                if self.capacities.is_unbounded() {
-                    return 0;
-                }
-                self.config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(b, &l)| self.capacities.bound(b).is_some_and(|c| u64::from(l) > c))
-                    .count() as u64
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Option<SnapshotState> {
-        Some(self.snapshot_state())
     }
 }
 
@@ -522,6 +358,7 @@ mod tests {
     use super::*;
     use crate::config::LegitimacyThreshold;
     use crate::metrics::{EmptyBinsTracker, MaxLoadTracker};
+    use crate::snapshot::SNAPSHOT_VERSION_WEIGHTED;
 
     #[test]
     fn step_conserves_balls() {
@@ -769,16 +606,16 @@ mod tests {
     #[test]
     fn place_and_depart_update_loads_and_mass() {
         let mut p = LoadProcess::legitimate_start(32, 44);
-        assert!(Engine::supports_incremental(&p));
-        let b = Engine::place(&mut p);
+        assert!(Engine::incremental(&mut p).is_some());
+        let b = Incremental::place(&mut p, 1);
         assert!(b < 32);
         assert_eq!(p.balls(), 33);
         assert_eq!(p.config().loads()[b], 2);
-        assert!(Engine::depart(&mut p, b));
+        assert!(Incremental::depart(&mut p, b));
         assert_eq!(p.balls(), 32);
-        assert!(!Engine::depart(&mut p, 99), "out of range is a no-op");
-        assert!(Engine::depart(&mut p, 0));
-        assert!(!Engine::depart(&mut p, 0), "empty bin is a no-op");
+        assert!(!Incremental::depart(&mut p, 99), "out of range is a no-op");
+        assert!(Incremental::depart(&mut p, 0));
+        assert!(!Incremental::depart(&mut p, 0), "empty bin is a no-op");
         assert_eq!(p.balls(), 31);
         p.step();
         assert_eq!(p.config().total_balls(), 31);
@@ -789,7 +626,7 @@ mod tests {
         let mut a = LoadProcess::legitimate_start(64, 9);
         let mut b = a.clone();
         for _ in 0..20 {
-            assert_eq!(Engine::place(&mut a), Engine::place(&mut b));
+            assert_eq!(Incremental::place(&mut a, 1), Incremental::place(&mut b, 1));
         }
         a.run_silent(10);
         b.run_silent(10);
@@ -837,7 +674,7 @@ mod tests {
                 weights,
                 Capacities::Unbounded,
             );
-            assert!(w.weighted.is_none());
+            assert!(w.weights.overlay().is_none());
             assert!(!Engine::weighted(&w));
             let mut reference = plain.clone();
             for i in 0..120 {
@@ -879,23 +716,6 @@ mod tests {
             Engine::total_weight(&zipf),
             Weights::zipf(128, 1.0, 50).total(128)
         );
-    }
-
-    #[test]
-    fn weighted_scalar_and_batched_paths_are_bit_identical() {
-        let mut scalar = zipf_process(96, 53, Capacities::Unbounded);
-        let mut batched = scalar.clone();
-        for _ in 0..150 {
-            scalar.step();
-            batched.step_batched();
-            assert_eq!(scalar.config(), batched.config());
-            assert_eq!(
-                Engine::weighted_max_load(&scalar),
-                Engine::weighted_max_load(&batched)
-            );
-        }
-        assert_eq!(scalar.rng, batched.rng);
-        assert_eq!(Engine::snapshot(&scalar), Engine::snapshot(&batched));
     }
 
     #[test]
@@ -941,7 +761,7 @@ mod tests {
             Weights::Unit,
             Capacities::Uniform(3),
         );
-        assert!(p.weighted.is_none());
+        assert!(p.weights.overlay().is_none());
         assert_eq!(Engine::capacity_violations(&p), 1, "bin 0 holds 16 > 3");
         let snap = Engine::snapshot(&p).expect("dense engine snapshots");
         assert_eq!(snap.version, SNAPSHOT_VERSION_WEIGHTED);
@@ -957,11 +777,11 @@ mod tests {
     fn weighted_place_and_depart_track_the_overlay() {
         let mut p = zipf_process(32, 57, Capacities::Unbounded);
         let total = Engine::total_weight(&p);
-        let b = Engine::place_weighted(&mut p, 40);
+        let b = Incremental::place(&mut p, 40);
         assert_eq!(Engine::total_weight(&p), total + 40);
         assert_eq!(Engine::balls(&p), 33);
         assert!(Engine::weighted_bin_load(&p, b) >= 40);
-        assert!(Engine::depart(&mut p, b), "bin just received a ball");
+        assert!(Incremental::depart(&mut p, b), "bin just received a ball");
         assert_eq!(Engine::balls(&p), 32);
         p.step_batched();
         assert_eq!(p.config().total_balls(), 32);
@@ -971,7 +791,7 @@ mod tests {
     #[should_panic(expected = "unit-weight")]
     fn unit_process_rejects_heavy_placements() {
         let mut p = LoadProcess::legitimate_start(8, 58);
-        Engine::place_weighted(&mut p, 2);
+        Incremental::place(&mut p, 2);
     }
 
     #[test]

@@ -53,14 +53,12 @@ use std::sync::Mutex;
 use rayon::prelude::*;
 
 use crate::config::Config;
-use crate::engine::Engine;
-use crate::process::weighted_section;
+use crate::engine::{Engine, Incremental};
+use crate::process::occupied;
 use crate::rng::Xoshiro256pp;
 use crate::sampling::UniformSampler;
-use crate::snapshot::{
-    SnapshotError, SnapshotState, ENGINE_SHARDED, SNAPSHOT_VERSION, SNAPSHOT_VERSION_WEIGHTED,
-};
-use crate::weights::{Capacities, WeightOverlay, Weights};
+use crate::snapshot::{SnapshotError, SnapshotState, ENGINE_SHARDED};
+use crate::weights::{Capacities, WeightLayer, Weights};
 
 /// Base salt of the per-shard RNG streams: shard `s ≥ 1` draws from
 /// `Xoshiro256pp::stream(seed, SHARD_STREAM_SALT + s)`. Shard 0 uses the
@@ -72,7 +70,8 @@ pub const SHARD_STREAM_SALT: u64 = 0x5AA4_DED0;
 
 /// Bin-count threshold below which `step_batched` runs the two phases
 /// sequentially instead of through the thread pool: the parallel and
-/// sequential round bodies produce identical states (pinned by unit tests),
+/// sequential schedules of the round produce identical states (pinned by
+/// unit tests),
 /// so this is purely a scheduling choice — per-round thread spawns only pay
 /// for themselves once a column scan is macroscopic.
 const PAR_MIN_N: usize = 1 << 19;
@@ -134,21 +133,34 @@ struct Shard {
     /// Number of non-empty bins in this column (maintained incrementally).
     nonempty: usize,
     rng: Xoshiro256pp,
-    /// Destination scratch reused by the batched path.
+    /// The round's destination draws — global bin indices, in draw order;
+    /// kept after the round for the weighted transport.
     dests: Vec<u32>,
 }
 
+/// The occupied bins as `(bin, load)` pairs in shard-major, column order —
+/// the canonical order of the weighted transport (ascending bin order at
+/// `S = 1`).
+fn occupied_columns(shards: &[Shard], router: Router) -> impl Iterator<Item = (u32, u32)> + '_ {
+    shards.iter().enumerate().flat_map(move |(s, shard)| {
+        shard
+            .loads
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l > 0)
+            // rbb-lint: allow(lossy-cast, reason = "unroute yields a bin < n, and n fits the u32 index range (asserted at construction)")
+            .map(move |(idx, &l)| (router.unroute(s, idx) as u32, l))
+    })
+}
+
 /// Phase 1 for one shard: branchless departure scan over the column, then
-/// the shard's destination draws routed into its outbox row (cleared
-/// first). `batched` selects `fill_u32` vs a scalar `sample` loop — the two
-/// are bit-compatible, so the choice never changes the trajectory. Returns
-/// the departure count.
+/// the shard's batched destination draws routed into its outbox row
+/// (cleared first). Returns the departure count.
 fn depart_and_throw(
     shard: &mut Shard,
     row: &mut OutRow,
     sampler: &UniformSampler,
     router: Router,
-    batched: bool,
 ) -> usize {
     let mut departures = 0usize;
     let mut still = 0usize;
@@ -165,20 +177,11 @@ fn depart_and_throw(
     for dest in row.iter_mut() {
         dest.clear();
     }
-    if batched {
-        shard.dests.resize(departures, 0);
-        sampler.fill_u32(&mut shard.rng, &mut shard.dests);
-        for &b in &shard.dests {
-            let (t, idx) = router.route(b);
-            row[t].push(idx);
-        }
-    } else {
-        for _ in 0..departures {
-            // rbb-lint: allow(lossy-cast, reason = "draws are < n, and n fits the u32 index range (asserted at construction)")
-            let b = sampler.sample(&mut shard.rng) as u32;
-            let (t, idx) = router.route(b);
-            row[t].push(idx);
-        }
+    shard.dests.resize(departures, 0);
+    sampler.fill_u32(&mut shard.rng, &mut shard.dests);
+    for &b in &shard.dests {
+        let (t, idx) = router.route(b);
+        row[t].push(idx);
     }
     departures
 }
@@ -231,14 +234,8 @@ pub struct ShardedLoadProcess {
     /// Lazily materialized dense view for `Engine::config`; invalidated on
     /// every mutation.
     dense: OnceCell<Config>,
-    /// Weight overlay — `None` in the unit configuration, where every step
-    /// path takes its original branch untouched.
-    weighted: Option<WeightOverlay>,
-    /// Observed capacity bounds ([`Capacities::Unbounded`] by default).
-    capacities: Capacities,
-    /// Global-destination scratch of the weighted round (per-shard draws
-    /// concatenated in shard order, each in draw order).
-    wdests: Vec<u32>,
+    /// Weight overlay and observed capacities (the unit layer by default).
+    weights: WeightLayer,
 }
 
 impl ShardedLoadProcess {
@@ -296,9 +293,7 @@ impl ShardedLoadProcess {
             balls,
             sampler: UniformSampler::new(n as u64),
             dense: OnceCell::new(),
-            weighted: None,
-            capacities: Capacities::Unbounded,
-            wdests: Vec::new(),
+            weights: WeightLayer::default(),
         }
     }
 
@@ -317,31 +312,9 @@ impl ShardedLoadProcess {
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let weights = weights.normalized();
-        if let Err(e) = weights.validate(config.total_balls()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid weights: {e}");
-        }
-        if let Err(e) = capacities.validate(config.n()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid capacities: {e}");
-        }
-        let overlay = match &weights {
-            Weights::Unit => None,
-            Weights::Explicit(ws) => {
-                let entries = config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                    .map(|(b, &l)| (b as u32, l));
-                Some(WeightOverlay::from_entries(entries, ws))
-            }
-        };
+        let layer = WeightLayer::new(weights, capacities, config.n(), occupied(config.loads()));
         let mut p = Self::new(config, seed, shards);
-        p.weighted = overlay;
-        p.capacities = capacities;
+        p.weights = layer;
         p
     }
 
@@ -362,8 +335,8 @@ impl ShardedLoadProcess {
         self.n
     }
 
-    /// Total ball count (rounds conserve it; the incremental
-    /// [`Engine::place`]/[`Engine::depart`] surface changes it).
+    /// Total ball count (rounds conserve it; the [`Incremental`]
+    /// place/depart surface changes it).
     #[inline]
     pub fn balls(&self) -> u64 {
         self.balls
@@ -375,93 +348,46 @@ impl ShardedLoadProcess {
         self.shard_count
     }
 
-    /// Advances one round through the scalar reference path (sequential
-    /// phases, scalar draws). Bit-identical to
-    /// [`step_batched`](Self::step_batched) from equal state.
+    /// Advances one round: per-shard branchless scans and batched Lemire
+    /// draws, run through the thread pool once the columns are large enough
+    /// to amortize it. Bit-identical at any thread count: the sequential and
+    /// parallel schedules run the same per-shard phases.
+    ///
+    /// On a weighted process each shard's departing columns are listed in
+    /// column order before the round and paired with that shard's draws in
+    /// draw order after it — the canonical transport order, which at
+    /// `shards = 1` is exactly the dense scan.
     ///
     /// # RNG stream
     ///
     /// Each shard consumes one uniform draw per ball it releases, from its
-    /// own stream — see [`Self::new`].
-    pub fn step(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted();
-        }
-        self.round_sequential(false)
-    }
-
-    /// Advances one round through the batched hot path: per-shard branchless
-    /// scans and batched Lemire draws, run through the thread pool once the
-    /// columns are large enough to amortize it. Bit-identical to
-    /// [`step`](Self::step) from equal state at any thread count.
-    ///
-    /// # RNG stream
-    ///
-    /// Identical to [`step`](Self::step): the batched sampler is
-    /// draw-for-draw compatible with the scalar one, and the
-    /// sequential-vs-parallel scheduling choice never touches an RNG.
+    /// own stream — see [`Self::new`]. The scheduling choice never touches
+    /// an RNG.
     pub fn step_batched(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted();
+        if let Some(srcs) = self.weights.sources() {
+            srcs.extend(occupied_columns(&self.shards, self.router).map(|(b, _)| b));
         }
-        if self.shard_count == 1 || self.n < PAR_MIN_N {
-            self.round_sequential(true)
+        let departures = if self.shard_count == 1 || self.n < PAR_MIN_N {
+            self.round_sequential()
         } else {
             self.round_parallel()
-        }
-    }
-
-    /// The weighted round — always sequential, always batched draws (the
-    /// batched sampler is draw-for-draw compatible with the scalar one, so
-    /// `step` and `step_batched` stay bit-identical on weighted engines
-    /// too). Each shard's departing columns are recorded in column order
-    /// and paired with that shard's draws in draw order — the canonical
-    /// transport order, which at `shards = 1` is exactly the dense scan.
-    fn step_weighted(&mut self) -> usize {
-        let sampler = self.sampler;
-        let router = self.router;
-        let mut overlay = self
-            .weighted
-            .take()
-            // rbb-lint: allow(panic, reason = "only reached behind a weighted.is_some() guard in step/step_batched")
-            .expect("weighted step needs an overlay");
-        overlay.srcs.clear();
-        let mut dests = std::mem::take(&mut self.wdests);
-        dests.clear();
-        let mut departures = 0usize;
-        for (s, (shard, row)) in self
-            .shards
-            .iter_mut()
-            .zip(self.outboxes.iter_mut())
-            .enumerate()
-        {
-            for (idx, &l) in shard.loads.iter().enumerate() {
-                if l > 0 {
-                    // rbb-lint: allow(lossy-cast, reason = "unroute yields a bin < n, and n fits the u32 index range (asserted at construction)")
-                    overlay.srcs.push(router.unroute(s, idx) as u32);
-                }
-            }
-            departures += depart_and_throw(shard, row, &sampler, router, true);
-            // `shard.dests` still holds this shard's raw draws — global bin
-            // indices in draw order — which the routing above only read.
-            dests.extend_from_slice(&shard.dests);
-        }
-        for (t, shard) in self.shards.iter_mut().enumerate() {
-            apply_inbound(shard, &self.outboxes, t);
-        }
-        overlay.transport(&dests);
-        self.wdests = dests;
-        self.weighted = Some(overlay);
-        self.finish_round(departures)
+        };
+        self.weights
+            .transport(self.shards.iter().flat_map(|s| s.dests.iter().copied()));
+        debug_assert!(self
+            .weights
+            .check(occupied_columns(&self.shards, self.router))
+            .is_ok());
+        departures
     }
 
     /// Both phases in shard-index order on the calling thread.
-    fn round_sequential(&mut self, batched: bool) -> usize {
+    fn round_sequential(&mut self) -> usize {
         let sampler = self.sampler;
         let router = self.router;
         let mut departures = 0usize;
         for (shard, row) in self.shards.iter_mut().zip(self.outboxes.iter_mut()) {
-            departures += depart_and_throw(shard, row, &sampler, router, batched);
+            departures += depart_and_throw(shard, row, &sampler, router);
         }
         for (t, shard) in self.shards.iter_mut().enumerate() {
             apply_inbound(shard, &self.outboxes, t);
@@ -473,8 +399,7 @@ impl ShardedLoadProcess {
     /// barrier between them. Each task locks only its own shard's state
     /// (the mutexes exist to satisfy the `Fn` closure bound; they are
     /// uncontended by construction), so the result is identical to
-    /// [`round_sequential`](Self::round_sequential) with `batched = true`
-    /// at any worker count.
+    /// [`round_sequential`](Self::round_sequential) at any worker count.
     fn round_parallel(&mut self) -> usize {
         let sampler = self.sampler;
         let router = self.router;
@@ -491,7 +416,7 @@ impl ShardedLoadProcess {
                 let mut guard = work[s].lock().expect("shard mutex poisoned");
                 let (shard, row) = &mut *guard;
                 // rbb-lint: allow(rng-in-par, reason = "shard.rng is the per-shard stream pre-salted with SHARD_STREAM_SALT at construction; tasks never share a stream")
-                depart_and_throw(shard, row, &sampler, router, true)
+                depart_and_throw(shard, row, &sampler, router)
             })
             .collect::<Vec<usize>>()
             .into_iter()
@@ -538,19 +463,6 @@ impl ShardedLoadProcess {
             .shards
             .iter()
             .all(|s| s.nonempty == s.loads.iter().filter(|&&l| l > 0).count()));
-        debug_assert!(self.weighted.as_ref().is_none_or(|o| {
-            let router = self.router;
-            let occupied = self.shards.iter().enumerate().flat_map(|(s, shard)| {
-                shard
-                    .loads
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "unroute yields a global bin index < n, and n fits u32")
-                    .map(move |(idx, &l)| (router.unroute(s, idx) as u32, l))
-            });
-            o.check_against(occupied).is_ok()
-        }));
         departures
     }
 
@@ -559,23 +471,11 @@ impl ShardedLoadProcess {
     /// in shard order. Outboxes and draw scratch are round-scoped and carry
     /// no state across rounds, so they are not captured.
     pub fn snapshot_state(&self) -> SnapshotState {
-        let mut entries = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            for (idx, &l) in shard.loads.iter().enumerate() {
-                if l > 0 {
-                    // rbb-lint: allow(lossy-cast, reason = "unroute yields a bin < n, and n fits the u32 index range (asserted at construction)")
-                    entries.push((self.router.unroute(s, idx) as u32, l));
-                }
-            }
-        }
+        let mut entries: Vec<(u32, u32)> = occupied_columns(&self.shards, self.router).collect();
         entries.sort_unstable();
-        let weighted = weighted_section(self.weighted.as_ref(), &self.capacities);
+        let (version, weighted) = self.weights.section();
         SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
-            },
+            version,
             engine: ENGINE_SHARDED.to_string(),
             n: self.n,
             shards: self.shard_count,
@@ -591,13 +491,7 @@ impl ShardedLoadProcess {
     /// restored process resumes the snapshotted trajectory bit-identically
     /// at the snapshot's shard count.
     pub fn from_snapshot(state: &SnapshotState) -> Result<Self, SnapshotError> {
-        state.validate()?;
-        if state.engine != ENGINE_SHARDED {
-            return Err(SnapshotError(format!(
-                "expected a {ENGINE_SHARDED} snapshot, got '{}'",
-                state.engine
-            )));
-        }
+        state.expect_engine(ENGINE_SHARDED)?;
         // The seed only feeds the freshly derived streams, which the loop
         // below overwrites with the captured states.
         let mut p = Self::new(Config::from_loads(state.dense_loads()), 0, state.shards);
@@ -606,12 +500,7 @@ impl ShardedLoadProcess {
             shard.rng = Xoshiro256pp::from_state(captured);
         }
         p.round = state.round;
-        if let Some(w) = &state.weighted {
-            p.capacities = w.capacities()?;
-            if !w.queues.is_empty() {
-                p.weighted = Some(WeightOverlay::from_queues(&w.queues));
-            }
-        }
+        p.weights = WeightLayer::from_section(state.weighted.as_ref())?;
         Ok(p)
     }
 }
@@ -628,9 +517,10 @@ fn shard_rng(seed: u64, s: usize) -> Xoshiro256pp {
 }
 
 impl Engine for ShardedLoadProcess {
+    /// Forwards to the one round body, [`ShardedLoadProcess::step_batched`].
     #[inline]
     fn step(&mut self) -> usize {
-        ShardedLoadProcess::step(self)
+        ShardedLoadProcess::step_batched(self)
     }
 
     #[inline]
@@ -726,43 +616,36 @@ impl Engine for ShardedLoadProcess {
         self.dense.take();
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
+    fn incremental(&mut self) -> Option<&mut dyn Incremental> {
+        Some(self)
     }
 
-    /// Incremental arrival: one uniform destination draw from **shard 0's**
-    /// stream (the engine-convention stream, so at `shards = 1` this is
-    /// bit-compatible with the dense engine's `place`).
-    fn place(&mut self) -> usize {
-        self.place_weighted(1)
+    fn weight_layer(&self) -> &WeightLayer {
+        &self.weights
     }
 
-    /// Same shard-0 RNG draw as [`place`](Engine::place) — the weight only
-    /// feeds the overlay. A unit process accepts weight 1 only.
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert!(
-            self.balls < u32::MAX as u64,
-            "place would overflow the u32 load bound"
-        );
-        assert!(
-            weight == 1 || self.weighted.is_some(),
-            "this process is unit-weight: only weight-1 placements are supported"
-        );
-        assert!(weight >= 1, "placed weight must be at least 1");
-        let b = self.shards[0].rng.uniform_usize(self.n);
+    fn snapshot(&self) -> Option<SnapshotState> {
+        Some(self.snapshot_state())
+    }
+}
+
+impl Incremental for ShardedLoadProcess {
+    /// One uniform destination draw from **shard 0's** stream (the
+    /// engine-convention stream, so at `shards = 1` this is bit-compatible
+    /// with the dense engine's `place`).
+    fn place(&mut self, weight: u32) -> usize {
+        let (n, rng) = (self.n, &mut self.shards[0].rng);
         // rbb-lint: allow(lossy-cast, reason = "draws are < n, and n fits the u32 index range (asserted at construction)")
-        let (s, idx) = self.router.route(b as u32);
+        let draw = || rng.uniform_usize(n) as u32;
+        let b = self.weights.place(self.balls, weight, draw);
+        let (s, idx) = self.router.route(b);
         let shard = &mut self.shards[s];
         let slot = &mut shard.loads[idx as usize];
         shard.nonempty += (*slot == 0) as usize;
         *slot += 1;
         self.balls += 1;
-        if let Some(o) = &mut self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "draws are < n, and n fits the u32 index range (asserted at construction)")
-            o.place(b as u32, weight);
-        }
         self.dense.take();
-        b
+        b as usize
     }
 
     fn depart(&mut self, bin: usize) -> bool {
@@ -770,7 +653,8 @@ impl Engine for ShardedLoadProcess {
             return false;
         }
         // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        let (s, idx) = self.router.route(bin as u32);
+        let b = bin as u32;
+        let (s, idx) = self.router.route(b);
         let shard = &mut self.shards[s];
         let slot = &mut shard.loads[idx as usize];
         if *slot == 0 {
@@ -779,68 +663,9 @@ impl Engine for ShardedLoadProcess {
         *slot -= 1;
         shard.nonempty -= (*slot == 0) as usize;
         self.balls -= 1;
-        if let Some(o) = &mut self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-            o.depart(bin as u32);
-        }
+        self.weights.depart(b);
         self.dense.take();
         true
-    }
-
-    fn weighted(&self) -> bool {
-        self.weighted.is_some()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.weighted
-            .as_ref()
-            .map_or(self.balls, WeightOverlay::total)
-    }
-
-    fn weighted_max_load(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.weighted_max_load(),
-            None => u64::from(Engine::max_load(self)),
-        }
-    }
-
-    fn weighted_bin_load(&self, bin: usize) -> u64 {
-        match &self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "out-of-range bins read as empty, matching the unit path's 0 load")
-            Some(o) => o.weighted_load(bin as u32),
-            None => {
-                if bin >= self.n {
-                    return 0;
-                }
-                u64::from(Engine::bin_load(self, bin))
-            }
-        }
-    }
-
-    fn capacities(&self) -> &Capacities {
-        &self.capacities
-    }
-
-    fn capacity_violations(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.capacity_violations(&self.capacities),
-            None => {
-                if self.capacities.is_unbounded() {
-                    return 0;
-                }
-                (0..self.n)
-                    .filter(|&b| {
-                        self.capacities
-                            .bound(b)
-                            .is_some_and(|c| u64::from(Engine::bin_load(self, b)) > c)
-                    })
-                    .count() as u64
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Option<SnapshotState> {
-        Some(self.snapshot_state())
     }
 }
 
@@ -848,6 +673,7 @@ impl Engine for ShardedLoadProcess {
 mod tests {
     use super::*;
     use crate::process::LoadProcess;
+    use crate::snapshot::SNAPSHOT_VERSION_WEIGHTED;
 
     /// Steps a dense/sharded pair in lockstep, asserting full agreement —
     /// only meaningful at `shards = 1` (the bit-identity case).
@@ -888,24 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batched_are_bit_identical_at_every_shard_count() {
-        for shards in [1usize, 2, 3, 4, 7] {
-            let mut scalar = ShardedLoadProcess::legitimate_start(96, 21, shards);
-            let mut batched = scalar.clone();
-            for r in 0..200 {
-                let a = scalar.step();
-                let b = batched.step_batched();
-                assert_eq!(a, b, "shards={shards} round {r}");
-                assert_eq!(
-                    Engine::config(&scalar),
-                    Engine::config(&batched),
-                    "shards={shards} round {r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_round_matches_sequential_round() {
         // The mutex-and-barrier parallel body must produce exactly the
         // sequential body's state, shard count and start regardless.
@@ -913,7 +721,7 @@ mod tests {
             let mut seq = ShardedLoadProcess::new(Config::all_in_one(257, 300), 3, shards);
             let mut par = seq.clone();
             for r in 0..120 {
-                let a = seq.round_sequential(true);
+                let a = seq.round_sequential();
                 let b = par.round_parallel();
                 assert_eq!(a, b, "shards={shards} round {r}");
                 assert_eq!(
@@ -1058,15 +866,15 @@ mod tests {
     #[test]
     fn place_and_depart_maintain_shard_counters() {
         let mut p = ShardedLoadProcess::legitimate_start(60, 19, 7);
-        assert!(Engine::supports_incremental(&p));
-        let b = Engine::place(&mut p);
+        assert!(Engine::incremental(&mut p).is_some());
+        let b = Incremental::place(&mut p, 1);
         assert!(b < 60);
         assert_eq!(p.balls(), 61);
         assert_eq!(Engine::bin_load(&p, b), 2);
-        assert!(Engine::depart(&mut p, b));
-        assert!(Engine::depart(&mut p, b));
-        assert!(!Engine::depart(&mut p, b), "bin drained");
-        assert!(!Engine::depart(&mut p, 60), "out of range is a no-op");
+        assert!(Incremental::depart(&mut p, b));
+        assert!(Incremental::depart(&mut p, b));
+        assert!(!Incremental::depart(&mut p, b), "bin drained");
+        assert!(!Incremental::depart(&mut p, 60), "out of range is a no-op");
         assert_eq!(p.balls(), 59);
         assert_eq!(Engine::nonempty_bins(&p), 59);
         // Debug builds recount the incremental counters every round.
@@ -1079,7 +887,10 @@ mod tests {
         let mut dense = LoadProcess::legitimate_start(64, 51);
         let mut sharded = ShardedLoadProcess::legitimate_start(64, 51, 1);
         for _ in 0..30 {
-            assert_eq!(Engine::place(&mut dense), Engine::place(&mut sharded));
+            assert_eq!(
+                Incremental::place(&mut dense, 1),
+                Incremental::place(&mut sharded, 1)
+            );
         }
         assert_twins(dense, sharded, 40);
     }
@@ -1226,7 +1037,10 @@ mod tests {
             Weights::Explicit(vec![1; 64]),
             Capacities::Unbounded,
         );
-        assert!(unit.weighted.is_none(), "all-ones collapses to no overlay");
+        assert!(
+            unit.weights.overlay().is_none(),
+            "all-ones collapses to no overlay"
+        );
         for _ in 0..80 {
             plain.step_batched();
             unit.step_batched();
@@ -1244,10 +1058,10 @@ mod tests {
             Capacities::Unbounded,
         );
         let total = Engine::total_weight(&p);
-        let b = Engine::place_weighted(&mut p, 9);
+        let b = Incremental::place(&mut p, 9);
         assert_eq!(Engine::total_weight(&p), total + 9);
         assert!(Engine::weighted_bin_load(&p, b) >= 9);
-        assert!(Engine::depart(&mut p, b));
+        assert!(Incremental::depart(&mut p, b));
         assert_eq!(p.balls(), 32);
         p.run_silent(10);
         assert_eq!(p.balls(), 32);

@@ -307,6 +307,19 @@ impl SnapshotState {
         Ok(())
     }
 
+    /// Validates the snapshot and checks it was taken from an engine of
+    /// kind `engine` — the preamble of every per-engine restore.
+    pub(crate) fn expect_engine(&self, engine: &str) -> Result<(), SnapshotError> {
+        self.validate()?;
+        if self.engine != engine {
+            return Err(SnapshotError(format!(
+                "expected a {engine} snapshot, got '{}'",
+                self.engine
+            )));
+        }
+        Ok(())
+    }
+
     /// The dense load vector encoded by `entries`. Call after
     /// [`Self::validate`]; entries out of range are ignored here.
     pub(crate) fn dense_loads(&self) -> Vec<u32> {

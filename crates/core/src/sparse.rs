@@ -17,9 +17,9 @@
 //! non-empty bin releases one ball, the round's `d` departures each draw an
 //! i.i.d. uniform destination over `[0, n)`. The *number* of draws depends
 //! only on how many bins are non-empty — never on how the loads are stored
-//! — and both engines draw through the same primitive
-//! ([`Xoshiro256pp::uniform_usize`] scalar / [`UniformSampler`] batched,
-//! themselves bit-compatible). So from the same seed and the same starting
+//! — and both engines draw through the same primitive ([`UniformSampler`],
+//! bit-compatible with [`Xoshiro256pp::uniform_usize`]). So from the same
+//! seed and the same starting
 //! configuration, the dense and sparse engines consume identical RNG
 //! streams and traverse identical configuration trajectories, round for
 //! round — including across `apply_fault` reassignments, which consume no
@@ -44,14 +44,11 @@ use std::collections::hash_map::Entry;
 
 use crate::config::Config;
 use crate::det_hash::DetHashMap;
-use crate::engine::Engine;
-use crate::process::weighted_section;
+use crate::engine::{Engine, Incremental};
 use crate::rng::Xoshiro256pp;
 use crate::sampling::UniformSampler;
-use crate::snapshot::{
-    SnapshotError, SnapshotState, ENGINE_SPARSE, SNAPSHOT_VERSION, SNAPSHOT_VERSION_WEIGHTED,
-};
-use crate::weights::{Capacities, WeightOverlay, Weights};
+use crate::snapshot::{SnapshotError, SnapshotState, ENGINE_SPARSE};
+use crate::weights::{Capacities, WeightLayer, Weights};
 
 /// Occupancy map type of the sparse engine: bin index → load, keyed through
 /// the workspace-wide deterministic hasher ([`crate::det_hash`] — formerly
@@ -100,11 +97,8 @@ pub struct SparseLoadProcess {
     /// Lazily materialized dense view for `Engine::config`; invalidated on
     /// every mutation, so steady-state stepping never allocates `O(n)`.
     dense: OnceCell<Config>,
-    /// Weight overlay — `None` in the unit configuration, where every step
-    /// path takes its original branch untouched.
-    weighted: Option<WeightOverlay>,
-    /// Observed capacity bounds ([`Capacities::Unbounded`] by default).
-    capacities: Capacities,
+    /// Weight overlay and observed capacities (the unit layer by default).
+    weights: WeightLayer,
 }
 
 impl SparseLoadProcess {
@@ -164,55 +158,36 @@ impl SparseLoadProcess {
             sampler: UniformSampler::new(n as u64),
             dests: Vec::new(),
             dense: OnceCell::new(),
-            weighted: None,
-            capacities: Capacities::Unbounded,
+            weights: WeightLayer::default(),
         }
     }
 
-    /// Creates a weighted, capacity-observing sparse process — the sparse
+    /// Creates a weighted, capacity-observing sparse process from
+    /// occupied-bin entries (as [`Self::from_entries`]) — the sparse
     /// counterpart of [`LoadProcess::with_weights`], bit-identical to it in
     /// trajectory, RNG stream, and weighted metrics from the same seed and
-    /// start. [`Weights::Unit`] (or an explicit all-ones vector) builds no
-    /// overlay, so the unit configuration is the same engine as
-    /// [`Self::new`].
+    /// start. Weights are assigned ball by ball in ascending bin order, in
+    /// whatever order `entries` lists the bins. [`Weights::Unit`] (or an
+    /// explicit all-ones vector) builds no overlay, so the unit
+    /// configuration is the same engine as [`Self::from_entries`].
     ///
     /// # RNG stream
     ///
-    /// Identical to [`Self::new`]: weights never touch the RNG — each round
-    /// still consumes one uniform draw per departing bin, in bin order.
+    /// Identical to [`Self::from_entries`]: weights never touch the RNG —
+    /// each round still consumes one uniform draw per departing bin.
     ///
     /// [`LoadProcess::with_weights`]: crate::process::LoadProcess::with_weights
     pub fn with_weights(
-        config: Config,
+        n: usize,
+        entries: impl IntoIterator<Item = (u32, u32)>,
         rng: Xoshiro256pp,
         weights: Weights,
         capacities: Capacities,
     ) -> Self {
-        let weights = weights.normalized();
-        if let Err(e) = weights.validate(config.total_balls()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid weights: {e}");
-        }
-        if let Err(e) = capacities.validate(config.n()) {
-            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
-            panic!("invalid capacities: {e}");
-        }
-        let overlay = match &weights {
-            Weights::Unit => None,
-            Weights::Explicit(ws) => {
-                let entries = config
-                    .loads()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l > 0)
-                    // rbb-lint: allow(lossy-cast, reason = "enumerate index < n, which fits the u32 bin-index range")
-                    .map(|(b, &l)| (b as u32, l));
-                Some(WeightOverlay::from_entries(entries, ws))
-            }
-        };
-        let mut p = Self::new(config, rng);
-        p.weighted = overlay;
-        p.capacities = capacities;
+        let mut entries: Vec<(u32, u32)> = entries.into_iter().collect();
+        entries.sort_unstable_by_key(|&(bin, _)| bin);
+        let mut p = Self::from_entries(n, entries.iter().copied(), rng);
+        p.weights = WeightLayer::new(weights, capacities, n, entries);
         p
     }
 
@@ -258,8 +233,8 @@ impl SparseLoadProcess {
         self.n
     }
 
-    /// Total ball count (rounds conserve it; the incremental
-    /// [`Engine::place`]/[`Engine::depart`] surface changes it).
+    /// Total ball count (rounds conserve it; the [`Incremental`]
+    /// place/depart surface changes it).
     #[inline]
     pub fn balls(&self) -> u64 {
         self.balls
@@ -324,77 +299,28 @@ impl SparseLoadProcess {
             "mass violated"
         );
         debug_assert_eq!(self.loads.len(), self.occupied.len());
-        debug_assert!(self.weighted.as_ref().is_none_or(|o| o
+        debug_assert!(self
+            .weights
             // rbb-lint: allow(unordered-iter, reason = "check_against counts and compares per-bin; order-independent")
-            .check_against(self.loads.iter().map(|(&b, &l)| (b, l)))
-            .is_ok()));
+            .check(self.loads.iter().map(|(&b, &l)| (b, l)))
+            .is_ok());
         departures
     }
 
-    /// The weighted round: same draws as the unit paths, plus the metric
-    /// transport. Departing bins enter the transport in **ascending bin
-    /// order** — the canonical order the dense engine's scan produces — so
-    /// the weighted sparse engine stays bit-identical to the weighted dense
-    /// engine even though the unit worklist is unordered.
-    fn step_weighted(&mut self, batched: bool) -> usize {
-        {
-            let overlay = self
-                .weighted
-                .as_mut()
-                // rbb-lint: allow(panic, reason = "only reached behind a weighted.is_some() guard in step/step_batched")
-                .expect("weighted step needs an overlay");
-            overlay.srcs.clear();
-            overlay.srcs.extend_from_slice(&self.occupied);
-            overlay.srcs.sort_unstable();
-        }
-        let departures = self.depart_all();
-        let mut dests = std::mem::take(&mut self.dests);
-        if batched {
-            dests.resize(departures, 0);
-            self.sampler.fill_u32(&mut self.rng, &mut dests);
-        } else {
-            dests.clear();
-            for _ in 0..departures {
-                // rbb-lint: allow(lossy-cast, reason = "n fits the u32 index range (asserted at construction); draws are < n")
-                dests.push(self.rng.uniform_usize(self.n) as u32);
-            }
-        }
-        for &b in &dests {
-            self.arrive(b);
-        }
-        let overlay = self.weighted.as_mut();
-        overlay
-            // rbb-lint: allow(panic, reason = "the overlay checked above cannot vanish mid-round")
-            .expect("weighted step needs an overlay")
-            .transport(&dests);
-        self.dests = dests;
-        self.finish_round(departures)
-    }
-
-    /// Advances one round through the scalar path; returns the number of
-    /// balls that moved. Consumes the RNG exactly like
-    /// [`LoadProcess::step`](crate::process::LoadProcess::step): `d` scalar
-    /// uniform draws, where `d` is the number of non-empty bins.
-    pub fn step(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(false);
-        }
-        let departures = self.depart_all();
-        for _ in 0..departures {
-            // rbb-lint: allow(lossy-cast, reason = "n fits the u32 index range (asserted at construction); draws are < n")
-            let b = self.rng.uniform_usize(self.n) as u32;
-            self.arrive(b);
-        }
-        self.finish_round(departures)
-    }
-
-    /// Advances one round through the batched path (destinations drawn
-    /// through the cached [`UniformSampler`] into a reused scratch buffer).
-    /// Bit-identical to [`step`](SparseLoadProcess::step) — and to the dense
-    /// engine's batched path — from equal state.
+    /// Advances one round (destinations drawn through the cached
+    /// [`UniformSampler`] into a reused scratch buffer); returns the number
+    /// of balls that moved. Bit-identical to the dense engine's round from
+    /// equal state: `d` uniform draws, where `d` is the number of non-empty
+    /// bins.
+    ///
+    /// On a weighted process the departing bins enter the transport in
+    /// **ascending bin order** — the canonical order the dense engine's
+    /// scan produces — so the weighted sparse engine stays bit-identical to
+    /// the weighted dense engine even though the worklist is unordered.
     pub fn step_batched(&mut self) -> usize {
-        if self.weighted.is_some() {
-            return self.step_weighted(true);
+        if let Some(srcs) = self.weights.sources() {
+            srcs.extend_from_slice(&self.occupied);
+            srcs.sort_unstable();
         }
         let departures = self.depart_all();
         self.dests.resize(departures, 0);
@@ -403,6 +329,7 @@ impl SparseLoadProcess {
         for &b in &dests {
             self.arrive(b);
         }
+        self.weights.transport(dests.iter().copied());
         self.dests = dests;
         self.finish_round(departures)
     }
@@ -416,13 +343,9 @@ impl SparseLoadProcess {
     pub fn snapshot_state(&self) -> SnapshotState {
         let mut entries: Vec<(u32, u32)> = self.loads.iter().map(|(&b, &l)| (b, l)).collect();
         entries.sort_unstable();
-        let weighted = weighted_section(self.weighted.as_ref(), &self.capacities);
+        let (version, weighted) = self.weights.section();
         SnapshotState {
-            version: if weighted.is_some() {
-                SNAPSHOT_VERSION_WEIGHTED
-            } else {
-                SNAPSHOT_VERSION
-            },
+            version,
             engine: ENGINE_SPARSE.to_string(),
             n: self.n,
             shards: 1,
@@ -437,31 +360,21 @@ impl SparseLoadProcess {
     /// Rebuilds a sparse process from a snapshot (validated first); the
     /// restored process resumes the snapshotted trajectory bit-identically.
     pub fn from_snapshot(state: &SnapshotState) -> Result<Self, SnapshotError> {
-        state.validate()?;
-        if state.engine != ENGINE_SPARSE {
-            return Err(SnapshotError(format!(
-                "expected a {ENGINE_SPARSE} snapshot, got '{}'",
-                state.engine
-            )));
-        }
+        state.expect_engine(ENGINE_SPARSE)?;
         // rbb-lint: allow(rng-construct, reason = "restoring a serialized stream state captured from a live engine snapshot, not seeding a new stream")
         let rng = Xoshiro256pp::from_state(state.rng_states[0]);
         let mut p = Self::from_entries(state.n, state.entries.iter().copied(), rng);
         p.round = state.round;
-        if let Some(w) = &state.weighted {
-            p.capacities = w.capacities()?;
-            if !w.queues.is_empty() {
-                p.weighted = Some(WeightOverlay::from_queues(&w.queues));
-            }
-        }
+        p.weights = WeightLayer::from_section(state.weighted.as_ref())?;
         Ok(p)
     }
 }
 
 impl Engine for SparseLoadProcess {
+    /// Forwards to the one round body, [`SparseLoadProcess::step_batched`].
     #[inline]
     fn step(&mut self) -> usize {
-        SparseLoadProcess::step(self)
+        SparseLoadProcess::step_batched(self)
     }
 
     #[inline]
@@ -512,10 +425,13 @@ impl Engine for SparseLoadProcess {
         self.loads.len()
     }
 
+    /// 0 for empty bins, including every `bin ≥ n`.
     #[inline]
     fn bin_load(&self, bin: usize) -> u32 {
-        // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        self.loads.get(&(bin as u32)).copied().unwrap_or(0)
+        u32::try_from(bin)
+            .ok()
+            .and_then(|b| self.loads.get(&b).copied())
+            .unwrap_or(0)
     }
 
     fn nonempty_bins_list(&self) -> Option<Vec<u32>> {
@@ -546,45 +462,37 @@ impl Engine for SparseLoadProcess {
         self.invalidate();
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
+    fn incremental(&mut self) -> Option<&mut dyn Incremental> {
+        Some(self)
     }
 
-    /// Incremental arrival: one uniform destination draw from the engine
-    /// stream — bit-compatible with the dense engine's `place`.
-    fn place(&mut self) -> usize {
-        self.place_weighted(1)
+    fn weight_layer(&self) -> &WeightLayer {
+        &self.weights
     }
 
-    /// Same RNG draw as [`place`](Engine::place) — the weight only feeds
-    /// the overlay. A unit process accepts weight 1 only.
-    fn place_weighted(&mut self, weight: u32) -> usize {
-        assert!(
-            self.balls < u32::MAX as u64,
-            "place would overflow the u32 load bound"
-        );
-        assert!(
-            weight == 1 || self.weighted.is_some(),
-            "this process is unit-weight: only weight-1 placements are supported"
-        );
-        assert!(weight >= 1, "placed weight must be at least 1");
+    fn snapshot(&self) -> Option<SnapshotState> {
+        Some(self.snapshot_state())
+    }
+}
+
+impl Incremental for SparseLoadProcess {
+    /// One uniform destination draw from the engine stream —
+    /// bit-compatible with the dense engine's `place`.
+    fn place(&mut self, weight: u32) -> usize {
+        let (n, rng) = (self.n, &mut self.rng);
         // rbb-lint: allow(lossy-cast, reason = "n fits the u32 index range (asserted at construction); draws are < n")
-        let b = self.rng.uniform_usize(self.n) as u32;
+        let draw = || rng.uniform_usize(n) as u32;
+        let b = self.weights.place(self.balls, weight, draw);
         self.arrive(b);
         self.balls += 1;
-        if let Some(o) = &mut self.weighted {
-            o.place(b, weight);
-        }
         self.invalidate();
         b as usize
     }
 
     fn depart(&mut self, bin: usize) -> bool {
-        if bin >= self.n {
+        let Ok(b) = u32::try_from(bin) else {
             return false;
-        }
-        // rbb-lint: allow(lossy-cast, reason = "bin < n, and n fits the u32 index range (asserted at construction)")
-        let b = bin as u32;
+        };
         let Some(slot) = self.loads.get_mut(&b) else {
             return false;
         };
@@ -594,67 +502,9 @@ impl Engine for SparseLoadProcess {
             self.occupied.retain(|&x| x != b);
         }
         self.balls -= 1;
-        if let Some(o) = &mut self.weighted {
-            o.depart(b);
-        }
+        self.weights.depart(b);
         self.invalidate();
         true
-    }
-
-    fn weighted(&self) -> bool {
-        self.weighted.is_some()
-    }
-
-    fn total_weight(&self) -> u64 {
-        self.weighted
-            .as_ref()
-            .map_or(self.balls, WeightOverlay::total)
-    }
-
-    fn weighted_max_load(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.weighted_max_load(),
-            None => u64::from(Engine::max_load(self)),
-        }
-    }
-
-    fn weighted_bin_load(&self, bin: usize) -> u64 {
-        match &self.weighted {
-            // rbb-lint: allow(lossy-cast, reason = "out-of-range bins read as empty, matching the unit path's 0 load")
-            Some(o) => o.weighted_load(bin as u32),
-            None => u64::from(Engine::bin_load(self, bin)),
-        }
-    }
-
-    fn capacities(&self) -> &Capacities {
-        &self.capacities
-    }
-
-    /// `O(#occupied)` in every mode — the overlay map for weighted runs,
-    /// the occupancy map for capacity-only unit runs (empty bins never
-    /// violate, so the trait default's `O(n)` scan is never needed here).
-    fn capacity_violations(&self) -> u64 {
-        match &self.weighted {
-            Some(o) => o.capacity_violations(&self.capacities),
-            None => {
-                if self.capacities.is_unbounded() {
-                    return 0;
-                }
-                // rbb-lint: allow(unordered-iter, reason = "counting violators is order-independent")
-                self.loads
-                    .iter()
-                    .filter(|(&b, &l)| {
-                        self.capacities
-                            .bound(b as usize)
-                            .is_some_and(|c| u64::from(l) > c)
-                    })
-                    .count() as u64
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Option<SnapshotState> {
-        Some(self.snapshot_state())
     }
 }
 
@@ -662,9 +512,14 @@ impl Engine for SparseLoadProcess {
 mod tests {
     use super::*;
     use crate::process::LoadProcess;
+    use crate::snapshot::SNAPSHOT_VERSION_WEIGHTED;
 
     fn rng(seed: u64) -> Xoshiro256pp {
         Xoshiro256pp::seed_from(seed)
+    }
+
+    fn one_per_bin(n: usize) -> impl Iterator<Item = (u32, u32)> {
+        (0..n as u32).map(|b| (b, 1))
     }
 
     /// Steps a dense/sparse pair in lockstep, asserting full agreement.
@@ -805,15 +660,18 @@ mod tests {
     #[test]
     fn place_and_depart_track_occupancy() {
         let mut p = SparseLoadProcess::from_entries(50, vec![(10, 2)], rng(41));
-        assert!(Engine::supports_incremental(&p));
-        let b = Engine::place(&mut p);
+        assert!(Engine::incremental(&mut p).is_some());
+        let b = Incremental::place(&mut p, 1);
         assert!(b < 50);
         assert_eq!(p.balls(), 3);
         assert_eq!(Engine::bin_load(&p, b), if b == 10 { 3 } else { 1 });
-        assert!(Engine::depart(&mut p, 10));
-        assert!(Engine::depart(&mut p, 10) || b == 10, "bin 10 had 2 balls");
-        assert!(!Engine::depart(&mut p, 50), "out of range is a no-op");
-        assert!(!Engine::depart(&mut p, 49), "empty bin is a no-op");
+        assert!(Incremental::depart(&mut p, 10));
+        assert!(
+            Incremental::depart(&mut p, 10) || b == 10,
+            "bin 10 had 2 balls"
+        );
+        assert!(!Incremental::depart(&mut p, 50), "out of range is a no-op");
+        assert!(!Incremental::depart(&mut p, 49), "empty bin is a no-op");
         assert_eq!(p.occupied.len(), p.loads.len());
         assert!(p.loads.values().all(|&l| l > 0));
         p.step();
@@ -825,7 +683,10 @@ mod tests {
         let mut dense = LoadProcess::legitimate_start(64, 51);
         let mut sparse = SparseLoadProcess::legitimate_start(64, 51);
         for _ in 0..30 {
-            assert_eq!(Engine::place(&mut dense), Engine::place(&mut sparse));
+            assert_eq!(
+                Incremental::place(&mut dense, 1),
+                Incremental::place(&mut sparse, 1)
+            );
         }
         assert_twins(dense, sparse, 40);
     }
@@ -880,8 +741,7 @@ mod tests {
             weights.clone(),
             caps.clone(),
         );
-        let mut sparse =
-            SparseLoadProcess::with_weights(Config::one_per_bin(n), rng(71), weights, caps);
+        let mut sparse = SparseLoadProcess::with_weights(n, one_per_bin(n), rng(71), weights, caps);
         assert!(Engine::weighted(&sparse));
         for r in 0..160 {
             let (a, b) = if r % 3 == 0 {
@@ -918,7 +778,8 @@ mod tests {
     #[test]
     fn weighted_snapshot_round_trips_bit_identically() {
         let mut p = SparseLoadProcess::with_weights(
-            Config::one_per_bin(48),
+            48,
+            one_per_bin(48),
             rng(72),
             Weights::zipf(48, 1.0, 30),
             Capacities::Uniform(25),
@@ -941,12 +802,16 @@ mod tests {
     fn unit_weights_build_the_same_sparse_engine() {
         let mut plain = SparseLoadProcess::legitimate_start(64, 73);
         let mut unit = SparseLoadProcess::with_weights(
-            Config::one_per_bin(64),
+            64,
+            one_per_bin(64),
             rng(73),
             Weights::Explicit(vec![1; 64]),
             Capacities::Unbounded,
         );
-        assert!(unit.weighted.is_none(), "all-ones collapses to no overlay");
+        assert!(
+            unit.weights.overlay().is_none(),
+            "all-ones collapses to no overlay"
+        );
         for _ in 0..80 {
             plain.step_batched();
             unit.step_batched();
@@ -958,16 +823,17 @@ mod tests {
     #[test]
     fn weighted_place_and_depart_track_the_overlay() {
         let mut p = SparseLoadProcess::with_weights(
-            Config::one_per_bin(32),
+            32,
+            one_per_bin(32),
             rng(74),
             Weights::zipf(32, 1.0, 20),
             Capacities::Unbounded,
         );
         let total = Engine::total_weight(&p);
-        let b = Engine::place_weighted(&mut p, 15);
+        let b = Incremental::place(&mut p, 15);
         assert_eq!(Engine::total_weight(&p), total + 15);
         assert!(Engine::weighted_bin_load(&p, b) >= 15);
-        assert!(Engine::depart(&mut p, b));
+        assert!(Incremental::depart(&mut p, b));
         assert_eq!(p.balls(), 32);
         p.step();
         assert_eq!(p.balls(), 32);

@@ -18,16 +18,22 @@
 //!   capacity-violating bins per round, the quantity the binpacking
 //!   baseline in `crates/baselines` respects by construction.
 //!
-//! [`WeightOverlay`] is the shared engine-side state: per-bin FIFO weight
-//! queues kept in lock-step with the load vector. All three load engines
-//! (dense, sparse, sharded) drive it through the same canonical transport
-//! order — departing bins in ascending bin order within each RNG stream —
-//! so the weighted sparse engine is bit-identical to the weighted dense
-//! engine, exactly as in the unit regime.
+//! [`WeightLayer`] is the shared engine-side state every load engine
+//! (dense, sparse, sharded) carries: an optional [`WeightOverlay`] — per-bin
+//! FIFO weight queues kept in lock-step with the load vector — plus the
+//! observed [`Capacities`]. It owns construction, the snapshot section, the
+//! place/depart bookkeeping and the per-round hooks, so an engine only
+//! supplies its occupied bins in its canonical order — departing bins in
+//! ascending bin order within each RNG stream. The weighted sparse engine is
+//! therefore bit-identical to the weighted dense engine, exactly as in the
+//! unit regime.
 
 use std::collections::VecDeque;
 
 use crate::det_hash::DetHashMap;
+use crate::snapshot::{
+    SnapshotError, WeightedSection, SNAPSHOT_VERSION, SNAPSHOT_VERSION_WEIGHTED,
+};
 
 /// Default maximum weight of the deterministic Zipf assignment.
 pub const DEFAULT_ZIPF_W_MAX: u32 = 100;
@@ -107,9 +113,10 @@ impl Weights {
 }
 
 /// Per-bin capacity bounds, observed (not enforced) by the engines.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Capacities {
     /// No bounds — the default, and the only mode the unit fast path needs.
+    #[default]
     Unbounded,
     /// Every bin bounds its weighted load by the same value (≥ 1).
     Uniform(u64),
@@ -203,10 +210,10 @@ impl Capacities {
 /// The overlay is pure metric state: it never touches the RNG. Engines
 /// keep the invariant `queue(b).len() == load(b)` for every bin (the unit
 /// load vector remains the single source of truth for the dynamics) and
-/// drive rounds through the two-phase [`Self::transport`], which models
-/// the paper's simultaneous departures: all departing front weights are
-/// popped before any arrival is pushed, so a bin that both releases and
-/// receives in one round still releases its *original* front ball.
+/// drive rounds through the two-phase `transport`, which models the
+/// paper's simultaneous departures: all departing front weights are popped
+/// before any arrival is pushed, so a bin that both releases and receives
+/// in one round still releases its *original* front ball.
 #[derive(Debug, Clone, Default)]
 pub struct WeightOverlay {
     /// FIFO weight queue per occupied bin.
@@ -216,9 +223,10 @@ pub struct WeightOverlay {
     /// Total weight in the system.
     total: u64,
     /// Scratch: the departing bins of the in-flight round, in canonical
-    /// (ascending within each stream) order. Cleared and refilled by the
-    /// engines each weighted round; never part of the resumable state.
-    pub(crate) srcs: Vec<u32>,
+    /// (ascending within each stream) order. Cleared and refilled through
+    /// [`WeightLayer::sources`] each weighted round; never part of the
+    /// resumable state.
+    srcs: Vec<u32>,
     /// Scratch for the pop phase of [`Self::transport`]: `(dest, weight)`.
     moves: Vec<(u32, u32)>,
 }
@@ -226,7 +234,7 @@ pub struct WeightOverlay {
 impl WeightOverlay {
     /// Builds the overlay from a sorted occupied-bin iterator and the
     /// per-ball weight vector, consumed ball by ball in bin order (the
-    /// enumeration [`Weights`] documents).
+    /// enumeration [`Weights`] documents). Repeated bins append.
     pub fn from_entries(entries: impl IntoIterator<Item = (u32, u32)>, weights: &[u32]) -> Self {
         let mut overlay = WeightOverlay::default();
         let mut next = 0usize;
@@ -236,12 +244,10 @@ impl WeightOverlay {
                 next + take <= weights.len(),
                 "weight vector shorter than the ball count"
             );
-            let q: VecDeque<u32> = weights[next..next + take].iter().copied().collect();
-            let w: u64 = q.iter().map(|&x| u64::from(x)).sum();
+            for &w in &weights[next..next + take] {
+                overlay.place(bin, w);
+            }
             next += take;
-            overlay.total += w;
-            overlay.queues.insert(bin, q);
-            overlay.wload.insert(bin, w);
         }
         assert_eq!(
             next,
@@ -286,15 +292,15 @@ impl WeightOverlay {
     /// `self.srcs` with the `k`-th destination draw in `dests`.
     /// Two-phase: every departing front weight is popped before any is
     /// pushed (simultaneous departures), preserving `total`.
-    pub fn transport(&mut self, dests: &[u32]) {
+    fn transport(&mut self, dests: impl IntoIterator<Item = u32>) {
         let mut srcs = std::mem::take(&mut self.srcs);
-        debug_assert_eq!(srcs.len(), dests.len(), "one destination per departure");
         let mut moves = std::mem::take(&mut self.moves);
         moves.clear();
-        for (&src, &dest) in srcs.iter().zip(dests) {
+        for (&src, dest) in srcs.iter().zip(dests) {
             let w = self.pop_front(src);
             moves.push((dest, w));
         }
+        debug_assert_eq!(srcs.len(), moves.len(), "one destination per departure");
         for &(dest, w) in &moves {
             self.push_back(dest, w);
         }
@@ -340,11 +346,9 @@ impl WeightOverlay {
         let mut overlay = WeightOverlay::default();
         // rbb-lint: allow(unordered-iter, reason = "`queues` here is the sorted snapshot slice parameter, not the map field")
         for (bin, ws) in queues {
-            let q: VecDeque<u32> = ws.iter().copied().collect();
-            let w: u64 = q.iter().map(|&x| u64::from(x)).sum();
-            overlay.total += w;
-            overlay.queues.insert(*bin, q);
-            overlay.wload.insert(*bin, w);
+            for &w in ws {
+                overlay.place(*bin, w);
+            }
         }
         overlay
     }
@@ -399,6 +403,163 @@ impl WeightOverlay {
     fn push_back(&mut self, bin: u32, w: u32) {
         self.queues.entry(bin).or_default().push_back(w);
         *self.wload.entry(bin).or_insert(0) += u64::from(w);
+    }
+}
+
+/// The weight/capacity layer of a load engine: the [`WeightOverlay`]
+/// (`None` in the unit configuration, so the unit round never touches it)
+/// plus the observed [`Capacities`]. The default is the unit, unbounded
+/// layer — the state of every engine built without weights.
+///
+/// A weighted round is the engine's unit round bracketed by two hooks:
+/// `sources` before the departure scan (the engine lists its departing
+/// bins in canonical order) and `transport` after the draws (the engine
+/// hands over the destinations in the same order).
+#[derive(Debug, Clone, Default)]
+pub struct WeightLayer {
+    overlay: Option<WeightOverlay>,
+    capacities: Capacities,
+}
+
+/// The unit, unbounded layer the [`crate::engine::Engine`] defaults read.
+pub(crate) static UNIT_LAYER: WeightLayer = WeightLayer {
+    overlay: None,
+    capacities: Capacities::Unbounded,
+};
+
+impl WeightLayer {
+    /// Normalizes and validates `weights` and `capacities` against an
+    /// `n`-bin start whose occupied bins `occupied` lists as `(bin, load)`
+    /// pairs in ascending bin order, and assigns the weights ball by ball
+    /// in that order. [`Weights::Unit`] (or an explicit all-ones vector)
+    /// builds no overlay and never reads `occupied`.
+    ///
+    /// Panics on invalid weights or capacities (the spec layer validates
+    /// first).
+    pub(crate) fn new(
+        weights: Weights,
+        capacities: Capacities,
+        n: usize,
+        occupied: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Self {
+        let weights = weights.normalized();
+        let overlay = match &weights {
+            Weights::Unit => None,
+            Weights::Explicit(ws) => {
+                let entries: Vec<(u32, u32)> = occupied.into_iter().collect();
+                if let Err(e) = weights.validate(entries.iter().map(|&(_, l)| u64::from(l)).sum()) {
+                    // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
+                    panic!("invalid weights: {e}");
+                }
+                Some(WeightOverlay::from_entries(entries, ws))
+            }
+        };
+        if let Err(e) = capacities.validate(n) {
+            // rbb-lint: allow(panic, reason = "constructor contract violation, caught by spec-layer validation first")
+            panic!("invalid capacities: {e}");
+        }
+        Self {
+            overlay,
+            capacities,
+        }
+    }
+
+    /// The weight overlay, `None` in the unit configuration.
+    #[inline]
+    pub fn overlay(&self) -> Option<&WeightOverlay> {
+        self.overlay.as_ref()
+    }
+
+    /// The observed capacity bounds.
+    #[inline]
+    pub fn capacities(&self) -> &Capacities {
+        &self.capacities
+    }
+
+    /// The snapshot encoding: version 1 with no section when there is
+    /// nothing non-unit to record, else version 2 with the queues (empty
+    /// for a capacity-only layer) and the capacity bounds.
+    pub(crate) fn section(&self) -> (u32, Option<WeightedSection>) {
+        if self.overlay.is_none() && self.capacities.is_unbounded() {
+            return (SNAPSHOT_VERSION, None);
+        }
+        let section = WeightedSection {
+            queues: self
+                .overlay
+                .as_ref()
+                .map_or_else(Vec::new, WeightOverlay::queues_sorted),
+            cap_kind: self.capacities.kind_str().to_string(),
+            caps: self.capacities.bounds_vec(),
+        };
+        (SNAPSHOT_VERSION_WEIGHTED, Some(section))
+    }
+
+    /// Rebuilds the layer from a (validated) snapshot section.
+    pub(crate) fn from_section(section: Option<&WeightedSection>) -> Result<Self, SnapshotError> {
+        let Some(w) = section else {
+            return Ok(Self::default());
+        };
+        Ok(Self {
+            overlay: (!w.queues.is_empty()).then(|| WeightOverlay::from_queues(&w.queues)),
+            capacities: w.capacities()?,
+        })
+    }
+
+    /// Incremental placement of one ball of weight `weight` into the bin
+    /// `draw` picks: checks the placement is admissible, then draws, then
+    /// records the weight. `balls` is the engine's ball count before the
+    /// placement. Panics if it would overflow the `u32` load bound, or if
+    /// `weight` is 0, or non-unit on a unit layer.
+    pub(crate) fn place(&mut self, balls: u64, weight: u32, draw: impl FnOnce() -> u32) -> u32 {
+        assert!(
+            balls < u64::from(u32::MAX),
+            "place would overflow the u32 load bound"
+        );
+        assert!(
+            weight == 1 || self.overlay.is_some(),
+            "this process is unit-weight: only weight-1 placements are supported"
+        );
+        assert!(weight >= 1, "placed weight must be at least 1");
+        let bin = draw();
+        if let Some(o) = &mut self.overlay {
+            o.place(bin, weight);
+        }
+        bin
+    }
+
+    /// Incremental departure of the front ball of the non-empty `bin`.
+    pub(crate) fn depart(&mut self, bin: u32) {
+        if let Some(o) = &mut self.overlay {
+            o.depart(bin);
+        }
+    }
+
+    /// Round hook, before the departure scan: the cleared departure list
+    /// the engine fills with its departing bins in canonical order, or
+    /// `None` in the unit configuration.
+    #[inline]
+    pub(crate) fn sources(&mut self) -> Option<&mut Vec<u32>> {
+        let o = self.overlay.as_mut()?;
+        o.srcs.clear();
+        Some(&mut o.srcs)
+    }
+
+    /// Round hook, after the draws: moves the departing front weights to
+    /// their destinations, in the order [`Self::sources`] listed them.
+    #[inline]
+    pub(crate) fn transport(&mut self, dests: impl IntoIterator<Item = u32>) {
+        if let Some(o) = &mut self.overlay {
+            o.transport(dests);
+        }
+    }
+
+    /// Checks the overlay against the engine's occupied `(bin, load)`
+    /// pairs (see [`WeightOverlay::check_against`]); trivially `Ok` when
+    /// unit.
+    pub(crate) fn check(&self, occupied: impl Iterator<Item = (u32, u32)>) -> Result<(), String> {
+        self.overlay
+            .as_ref()
+            .map_or(Ok(()), |o| o.check_against(occupied))
     }
 }
 
@@ -482,13 +643,13 @@ mod tests {
         // release its *original* front (5), not the arriving 10.
         let mut o = WeightOverlay::from_entries([(0, 2), (1, 1)], &[10, 20, 5]);
         o.srcs.extend([0, 1]);
-        o.transport(&[1, 0]);
+        o.transport([1, 0]);
         assert_eq!(o.total(), 35);
         assert_eq!(o.weighted_load(0), 25); // [20, 5]
         assert_eq!(o.weighted_load(1), 10); // [10]
                                             // Next round: bin 0 releases 20 (FIFO), not 5.
         o.srcs.extend([0, 1]);
-        o.transport(&[0, 1]);
+        o.transport([0, 1]);
         assert_eq!(o.weighted_load(0), 25); // [5, 20]
         assert_eq!(o.weighted_load(1), 10);
     }
@@ -509,7 +670,7 @@ mod tests {
     fn snapshot_queues_round_trip() {
         let mut o = WeightOverlay::from_entries([(1, 2), (4, 1)], &[9, 8, 7]);
         o.srcs.push(1);
-        o.transport(&[4]);
+        o.transport([4]);
         let queues = o.queues_sorted();
         let back = WeightOverlay::from_queues(&queues);
         assert_eq!(back.total(), o.total());

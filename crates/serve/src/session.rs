@@ -28,7 +28,7 @@
 
 use std::io::{BufRead, Write};
 
-use rbb_core::engine::Engine;
+use rbb_core::engine::{Engine, Incremental};
 use rbb_core::prelude::LegitimacyThreshold;
 use rbb_core::snapshot::{restore, SnapshotState};
 use serde::{Deserialize as _, Serialize as _, Value};
@@ -85,7 +85,7 @@ impl Session {
         // Fast path for the bare hot-loop request: skips the generic JSON
         // parse (same semantics as the general path below).
         if line == r#"{"op":"place"}"# {
-            return match self.place_one() {
+            return match self.place_one(1) {
                 Ok(resp) => resp,
                 Err(e) => self.fail(e),
             };
@@ -129,26 +129,24 @@ impl Session {
         ]))
     }
 
-    /// Checks the incremental-surface guards shared by `place` and
-    /// `depart`.
-    fn guard_incremental(&self) -> Result<(), String> {
-        if !self.engine.supports_incremental() {
-            return Err("this engine does not support incremental place/depart".to_string());
-        }
-        Ok(())
-    }
-
-    /// One timed placement, with the hot-path response rendered by hand.
-    fn place_one(&mut self) -> Result<String, String> {
-        self.guard_incremental()?;
+    /// One timed placement of a ball of weight `weight`, stopping with
+    /// `at_bound` once the ball count reaches the `u32` load bound.
+    fn place_timed(&mut self, weight: u32, at_bound: &str) -> Result<usize, String> {
         if self.engine.balls() >= u32::MAX as u64 {
-            return Err("ball count is at the u32 load bound".to_string());
+            return Err(at_bound.to_string());
         }
+        let engine = incremental(self.engine.as_mut())?;
         let t0 = self.clock.now_nanos();
-        let bin = self.engine.place();
+        let bin = engine.place(weight);
         let t1 = self.clock.now_nanos();
         self.stats.place_latency.record(t1.saturating_sub(t0));
         self.stats.placements += 1;
+        Ok(bin)
+    }
+
+    /// One placement, with the hot-path response rendered by hand.
+    fn place_one(&mut self, weight: u32) -> Result<String, String> {
+        let bin = self.place_timed(weight, "ball count is at the u32 load bound")?;
         let load = self.engine.bin_load(bin);
         let balls = self.engine.balls();
         Ok(format!(
@@ -156,11 +154,11 @@ impl Session {
         ))
     }
 
-    /// Parses and guards the optional `weight` field: `None` when absent,
+    /// Parses and guards the optional `weight` field: 1 when absent,
     /// otherwise a validated non-zero weight the engine can carry.
-    fn opt_weight(&self, req: &Value) -> Result<Option<u32>, String> {
+    fn weight(&self, req: &Value) -> Result<u32, String> {
         let Some(w) = opt_u64(req, "weight")? else {
-            return Ok(None);
+            return Ok(1);
         };
         if w == 0 {
             return Err("weight must be at least 1".to_string());
@@ -173,51 +171,21 @@ impl Session {
                 "non-unit weight needs a weighted engine (this engine is unit-weight)".to_string(),
             );
         }
-        Ok(Some(w))
-    }
-
-    /// One timed weighted placement; response shape matches `place_one`.
-    fn place_one_weighted(&mut self, weight: u32) -> Result<String, String> {
-        self.guard_incremental()?;
-        if self.engine.balls() >= u32::MAX as u64 {
-            return Err("ball count is at the u32 load bound".to_string());
-        }
-        let t0 = self.clock.now_nanos();
-        let bin = self.engine.place_weighted(weight);
-        let t1 = self.clock.now_nanos();
-        self.stats.place_latency.record(t1.saturating_sub(t0));
-        self.stats.placements += 1;
-        let load = self.engine.bin_load(bin);
-        let balls = self.engine.balls();
-        Ok(format!(
-            r#"{{"ok":true,"bin":{bin},"load":{load},"balls":{balls}}}"#
-        ))
+        Ok(w)
     }
 
     fn op_place(&mut self, req: &Value) -> Result<String, String> {
-        let weight = self.opt_weight(req)?;
-        let count = match (opt_u64(req, "count")?, weight) {
-            (None, None) => return self.place_one(),
-            (None, Some(w)) => return self.place_one_weighted(w),
-            (Some(c), _) => c,
+        let weight = self.weight(req)?;
+        let Some(count) = opt_u64(req, "count")? else {
+            return self.place_one(weight);
         };
         if count == 0 || count > MAX_PLACE_BATCH {
             return Err(format!("count must be in 1..={MAX_PLACE_BATCH}"));
         }
-        self.guard_incremental()?;
         let mut bins = Vec::with_capacity(count.min(4096) as usize);
         for _ in 0..count {
-            if self.engine.balls() >= u32::MAX as u64 {
-                return Err("ball count reached the u32 load bound mid-batch".to_string());
-            }
-            let t0 = self.clock.now_nanos();
-            let bin = match weight {
-                Some(w) => self.engine.place_weighted(w),
-                None => self.engine.place(),
-            };
-            let t1 = self.clock.now_nanos();
-            self.stats.place_latency.record(t1.saturating_sub(t0));
-            self.stats.placements += 1;
+            let bin =
+                self.place_timed(weight, "ball count reached the u32 load bound mid-batch")?;
             bins.push(Value::UInt(bin as u64));
         }
         Ok(render(&Value::Object(vec![
@@ -228,9 +196,9 @@ impl Session {
     }
 
     fn op_depart(&mut self, req: &Value) -> Result<String, String> {
-        self.guard_incremental()?;
+        let engine = incremental(self.engine.as_mut())?;
         let bin = opt_u64(req, "bin")?.ok_or("depart needs a \"bin\" field")? as usize;
-        let removed = self.engine.depart(bin);
+        let removed = engine.depart(bin);
         if removed {
             self.stats.departures += 1;
         }
@@ -370,6 +338,14 @@ impl Session {
         let elapsed = self.clock.now_nanos();
         Ok(render(&self.stats.report(elapsed).serialize()))
     }
+}
+
+/// The engine's incremental surface, or the protocol error for engines
+/// without one.
+fn incremental(engine: &mut dyn Engine) -> Result<&mut dyn Incremental, String> {
+    engine
+        .incremental()
+        .ok_or_else(|| "this engine does not support incremental place/depart".to_string())
 }
 
 /// Reads an optional unsigned-integer request field.

@@ -55,10 +55,11 @@ use crate::spec::{
 /// The load-only cell resolves dense vs sparse vs sharded through
 /// [`ScenarioSpec::resolved_engine`] (dense and sparse are bit-identical;
 /// sharded is bit-identical at `shards: 1` and law-equal above — see the
-/// spec module docs); the sparse engine is built from
-/// [`StartSpec::build_entries`] without ever allocating a dense `O(n)`
-/// start vector, and the sharded engine derives its per-shard streams from
-/// the spec seed inside [`ShardedLoadProcess::new`].
+/// spec module docs), and every engine there carries the spec's weights and
+/// capacities. The sparse engine is built from [`StartSpec::build_entries`]
+/// without ever allocating a dense `O(n)` start vector, weighted or not,
+/// and the sharded engine derives its per-shard streams from the spec seed
+/// inside [`ShardedLoadProcess::new`].
 ///
 /// [`StartSpec::build_entries`]: crate::spec::StartSpec::build_entries
 pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
@@ -89,59 +90,35 @@ pub fn build_engine(spec: &ScenarioSpec) -> Result<Box<dyn Engine>, SpecError> {
 
     match spec.arrival {
         ArrivalSpec::Uniform => match (spec.strategy, spec.stop) {
-            (None, _) if spec.weights.is_some() || spec.capacities.is_some() => {
-                // The weighted/capacity-observing constructors. Weight
-                // assignment is defined in bin order over the dense start
-                // configuration, so all three engines build from the dense
-                // config; the unit/unbounded configuration of each is the
-                // same engine as the plain arm below, bit for bit.
-                let config = spec.start.build(spec.n, m, seed)?;
+            (None, _) => {
+                // One arm for every weight/capacity model: the unit,
+                // unbounded layer builds no overlay, so it is the plain
+                // engine bit for bit.
                 let weights = spec.core_weights();
                 let capacities = spec.core_capacities();
                 match spec.resolved_engine() {
                     EngineSpec::Sparse => Ok(Box::new(SparseLoadProcess::with_weights(
-                        config,
+                        spec.n,
+                        spec.start.build_entries(spec.n, m, seed)?,
                         engine_rng(seed),
                         weights,
                         capacities,
                     ))),
                     EngineSpec::Sharded => Ok(Box::new(ShardedLoadProcess::with_weights(
-                        config,
+                        spec.start.build(spec.n, m, seed)?,
                         seed,
                         spec.resolved_shards(),
                         weights,
                         capacities,
                     ))),
                     _ => Ok(Box::new(LoadProcess::with_weights(
-                        config,
+                        spec.start.build(spec.n, m, seed)?,
                         engine_rng(seed),
                         weights,
                         capacities,
                     ))),
                 }
             }
-            (None, _) => match spec.resolved_engine() {
-                EngineSpec::Sparse => {
-                    let entries = spec.start.build_entries(spec.n, m, seed)?;
-                    Ok(Box::new(SparseLoadProcess::from_entries(
-                        spec.n,
-                        entries,
-                        engine_rng(seed),
-                    )))
-                }
-                EngineSpec::Sharded => {
-                    let config = spec.start.build(spec.n, m, seed)?;
-                    Ok(Box::new(ShardedLoadProcess::new(
-                        config,
-                        seed,
-                        spec.resolved_shards(),
-                    )))
-                }
-                _ => {
-                    let config = spec.start.build(spec.n, m, seed)?;
-                    Ok(Box::new(LoadProcess::new(config, engine_rng(seed))))
-                }
-            },
             (Some(s), StopSpec::Covered) => {
                 let config = spec.start.build(spec.n, m, seed)?;
                 Ok(Box::new(Traversal::from_config(config, s.to_core(), seed)))
@@ -835,38 +812,67 @@ mod tests {
 
     #[test]
     fn weighted_sparse_and_dense_scenarios_agree_bit_for_bit() {
+        // Every start: the sparse engine builds from `build_entries`, the
+        // dense one from the dense start configuration; weights must land on
+        // the same balls either way.
         use crate::spec::{CapacitiesSpec, WeightsSpec};
-        let base = ScenarioSpec::builder(512)
-            .balls(6)
-            .start(StartSpec::AllInOne)
-            .weights(WeightsSpec::Explicit(vec![9, 1, 4, 1, 25, 2]))
-            .capacities(CapacitiesSpec::Uniform { c: 30 })
-            .horizon_rounds(300)
-            .seed(17)
-            .build();
-        assert_eq!(base.resolved_engine(), EngineSpec::Sparse);
-        let dense_spec = ScenarioSpec {
-            engine: Some(EngineSpec::Dense),
-            ..base.clone()
-        };
-        let sparse_spec = ScenarioSpec {
-            engine: Some(EngineSpec::Sparse),
-            ..base
-        };
-        let mut dense = dense_spec.scenario().unwrap();
-        let mut sparse = sparse_spec.scenario().unwrap();
-        let a = dense.run();
-        let b = sparse.run();
-        assert_eq!(a, b);
-        assert_eq!(dense.engine().config(), sparse.engine().config());
-        assert_eq!(
-            dense.engine().weighted_max_load(),
-            sparse.engine().weighted_max_load()
-        );
-        assert_eq!(
-            dense.engine().capacity_violations(),
-            sparse.engine().capacity_violations()
-        );
+        let n = 512;
+        let starts = [
+            (StartSpec::OnePerBin, n as u64),
+            (StartSpec::AllInOne, 6),
+            (StartSpec::Packed { k: 4 }, 6),
+            (StartSpec::Geometric, 6),
+            (StartSpec::Random { salt: 0xFEED }, 6),
+            (StartSpec::RandomMultinomial { salt: 0xBEEF }, 6),
+        ];
+        for (start, balls) in starts {
+            let weights = if balls == 6 {
+                WeightsSpec::Explicit(vec![9, 1, 4, 1, 25, 2])
+            } else {
+                WeightsSpec::Zipf {
+                    s: 1.0,
+                    w_max: Some(30),
+                }
+            };
+            let base = ScenarioSpec::builder(n)
+                .balls(balls)
+                .start(start)
+                .weights(weights)
+                .capacities(CapacitiesSpec::Uniform { c: 30 })
+                .horizon_rounds(300)
+                .seed(17)
+                .build();
+            let dense_spec = ScenarioSpec {
+                engine: Some(EngineSpec::Dense),
+                ..base.clone()
+            };
+            let sparse_spec = ScenarioSpec {
+                engine: Some(EngineSpec::Sparse),
+                ..base
+            };
+            let mut dense = dense_spec.scenario().unwrap();
+            let mut sparse = sparse_spec.scenario().unwrap();
+            let a = dense.run();
+            let b = sparse.run();
+            assert_eq!(a, b, "{start:?}");
+            assert_eq!(dense.engine().config(), sparse.engine().config());
+            assert_eq!(
+                dense.engine().weighted_max_load(),
+                sparse.engine().weighted_max_load(),
+                "{start:?}"
+            );
+            assert_eq!(
+                dense.engine().capacity_violations(),
+                sparse.engine().capacity_violations(),
+                "{start:?}"
+            );
+            let (ds, ss) = (
+                dense.engine().snapshot().unwrap(),
+                sparse.engine().snapshot().unwrap(),
+            );
+            assert!(ds.weighted.is_some(), "{start:?}");
+            assert_eq!(ds.weighted, ss.weighted, "{start:?}");
+        }
     }
 
     #[test]

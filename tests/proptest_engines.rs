@@ -1,10 +1,15 @@
 //! Cross-engine equivalence: `step` and `step_batched` produce
 //! bit-identical trajectories for **every** [`Engine`] implementation the
-//! scenario factory can build — not just the load/ball engines whose unit
-//! tests already pin it. Engines without a dedicated batched kernel default
-//! `step_batched` to `step`; this suite keeps that contract honest as
-//! kernels get added, and it pins the mover counts as well as the
+//! scenario factory can build, and the mover counts agree as well as the
 //! configurations.
+//!
+//! Every engine has one production round, `step_batched`, which defaults
+//! to `step`. The only engine with two round bodies is the unit dense
+//! `LoadProcess`, whose scalar `step` is the reference its batched kernel
+//! is pinned against (the `load` row). On the sparse and sharded engines,
+//! and on every weighted configuration, `step` forwards to `step_batched`;
+//! their rows stay in the matrix so that a second round body added to any
+//! engine is held to the same law.
 //!
 //! Engines are built in pairs through `rbb_sim::build_engine` from one
 //! spec, so the matrix automatically tracks the factory table (clique
@@ -60,7 +65,7 @@ fn engine_matrix() -> Vec<Combo> {
         ),
         (
             // The sparse occupancy engine (spec_for forces engine: sparse
-            // for this label); scalar and batched kernels both exist.
+            // for this label).
             "load-sparse",
             ArrivalSpec::Uniform,
             None,
@@ -69,7 +74,7 @@ fn engine_matrix() -> Vec<Combo> {
         ),
         (
             // The sharded engine at 4 shards (spec_for forces engine:
-            // sharded); scalar and batched round bodies both exist.
+            // sharded).
             "load-sharded",
             ArrivalSpec::Uniform,
             None,
@@ -79,8 +84,7 @@ fn engine_matrix() -> Vec<Combo> {
         (
             // The dense engine carrying the weighted overlay (spec_for
             // adds zipf weights + a uniform capacity for `*-weighted`
-            // labels): the scalar/batched law must hold with the overlay
-            // in play, not just on the unit fast path.
+            // labels).
             "load-weighted",
             ArrivalSpec::Uniform,
             None,

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use rbb_core::engine::Engine;
+use rbb_core::engine::{Engine, Incremental};
 use rbb_core::snapshot::{restore, SnapshotState};
 use rbb_sim::{EngineSpec, ScenarioSpec, StartSpec};
 use serde::Deserialize as _;
@@ -22,6 +22,11 @@ fn engine_axis() -> Vec<(EngineSpec, Option<usize>)> {
         (EngineSpec::Sharded, Some(3)),
         (EngineSpec::Sharded, Some(4)),
     ]
+}
+
+/// The load engines' incremental surface.
+fn inc(engine: &mut Box<dyn Engine>) -> &mut dyn Incremental {
+    engine.incremental().expect("load engines are incremental")
 }
 
 fn build(
@@ -92,9 +97,9 @@ fn assert_roundtrip(
     }
     // Incremental traffic before the snapshot: arrivals and departures are
     // part of the state the checkpoint must carry.
-    let b0 = original.place();
-    original.depart(b0);
-    original.place();
+    let b0 = inc(&mut original).place(1);
+    inc(&mut original).depart(b0);
+    inc(&mut original).place(1);
 
     let state = original
         .snapshot()
@@ -116,12 +121,12 @@ fn assert_roundtrip(
             moved_a, moved_b,
             "{label}: movers diverged at resume round {r}"
         );
-        let pa = original.place();
-        let pb = restored.place();
+        let pa = inc(&mut original).place(1);
+        let pb = inc(&mut restored).place(1);
         assert_eq!(pa, pb, "{label}: placement diverged at resume round {r}");
         assert_eq!(
-            original.depart(pa),
-            restored.depart(pb),
+            inc(&mut original).depart(pa),
+            inc(&mut restored).depart(pb),
             "{label}: departure diverged at resume round {r}"
         );
         assert_twins(original.as_ref(), restored.as_ref(), &label);
@@ -171,7 +176,7 @@ fn one_snapshot_restores_many_identical_engines() {
     let mut b = restore(&state).expect("restore b");
     for _ in 0..15 {
         assert_eq!(a.step_batched(), b.step_batched());
-        assert_eq!(a.place(), b.place());
+        assert_eq!(inc(&mut a).place(1), inc(&mut b).place(1));
     }
     assert_twins(a.as_ref(), b.as_ref(), "(twin restores)");
 }
